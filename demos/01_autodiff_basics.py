@@ -7,6 +7,7 @@ import numpy as np
 
 from raeslab import Tape, Tensor, backward, matmul, mean_all, mul, sigmoid, tanh_op
 from raeslab.gradcheck import check_gradients
+from raeslab.tensor import add
 
 # Tensors wrap row-major float64 arrays. Only tensors created with
 # requires_grad=True (parameters) collect gradients.
@@ -34,5 +35,5 @@ print(f"worst relative error vs finite differences: {err:.2e}")
 # Fan-out accumulates: using a tensor twice sums both path gradients.
 y = Tensor(np.asarray(3.0), requires_grad=True)
 with Tape() as tape:
-    backward(tape, y + y)
+    backward(tape, add(y, y))
 print("d(y+y)/dy =", float(y.grad), "(two paths, each contributing 1)")

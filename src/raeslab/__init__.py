@@ -36,7 +36,6 @@ from .layers import (
     init_params,
     maxpool1d_forward,
     time_distributed_dense,
-    transpose_seq_channels,
 )
 from .models import (
     RAE,
@@ -48,11 +47,7 @@ from .models import (
     ContextSpec,
     ModelVariant,
     context_size_from_sigma,
-    rae_forward,
     raes_feasible,
-    raes_forward,
-    raes_stretch_forward,
-    raesc_forward,
     stretch_context,
     transform_context,
 )

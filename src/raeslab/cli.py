@@ -44,7 +44,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate")
     p.add_argument("--components-per-feature", type=int, default=3, help="sinusoids summed per signal channel")
     p.add_argument("--out", type=Path, default=Path("raes-lab-out"), help="report directory")
-    p.add_argument("--parallel", action="store_true", help="train variants on separate threads (timings will contend)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +86,6 @@ def _experiment_config(args, variants, features: int, sigma: float, out_dir: Pat
         lr=args.lr,
         decoder_hidden=args.decoder_hidden,
         out_dir=out_dir,
-        parallel=args.parallel,
     )
 
 
@@ -142,11 +140,16 @@ def _cmd_gradcheck(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    return _cmd_gradcheck(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "grid":
+            return _cmd_grid(args)
+        return _cmd_gradcheck(args)
+    except ValueError as exc:
+        # out-of-range flag values surface here; report them like argparse does
+        print(f"raes-lab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,19 +23,21 @@ from .layers import (
     gru_step,
     maxpool1d_forward,
     time_distributed_dense,
-    transpose_seq_channels,
 )
 from .optim import mse_loss
 from .tensor import (
     Tape,
     Tensor,
     backward,
+    matmul,
     mean_all,
     mul,
     reshape,
     sigmoid,
     stack_steps,
+    sub,
     sum_all,
+    swap_last_axes,
     tanh_op,
     zero_grads,
 )
@@ -100,9 +102,9 @@ def _check_core_ops(rng) -> float:
     w = _rand(rng, 4, 3)
 
     def build():
-        y = tanh_op(x @ w)
+        y = tanh_op(matmul(x, w))
         z = sigmoid(reshape(y, (9,)))
-        s = stack_steps([z, mul(z, z), 1.0 - z])
+        s = stack_steps([z, mul(z, z), sub(1.0, z)])
         return mean_all(mul(s, s))
 
     return check_gradients(build, [x, w])
@@ -182,7 +184,7 @@ def _check_transpose(rng) -> float:
     r = Tensor(rng.uniform(-1.0, 1.0, size=seq.shape[::-1]))
 
     def build():
-        return sum_all(mul(transpose_seq_channels(seq), r))
+        return sum_all(mul(swap_last_axes(seq), r))
 
     return check_gradients(build, [seq])
 
@@ -207,7 +209,7 @@ def _check_model(kind: str, rng) -> float:
     variant, spec = _toy_context(kind, rng)
     model = models.AutoencoderModel.build(variant, spec, rng)
     x = Tensor(rng.uniform(-1.0, 1.0, size=(2, spec.seq_len, spec.n_features)))
-    target = rng.uniform(-1.0, 1.0, size=(2, spec.out_len, spec.out_features))
+    target = rng.uniform(-1.0, 1.0, size=(2, spec.seq_len, spec.n_features))
 
     def build():
         return mse_loss(model.forward(x), target)

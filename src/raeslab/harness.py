@@ -12,7 +12,6 @@ import csv
 import hashlib
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .data import Dataset, SignalConfig, batches, generate_dataset, shuffle_split
 from .models import (
+    VARIANT_KINDS,
     AutoencoderModel,
     ContextSpec,
     ModelVariant,
@@ -44,7 +44,6 @@ __all__ = [
 
 RECORD_FIELDS = ("epoch", "epoch_wall_time_s", "cumulative_time_s", "train_mse", "val_mse")
 TIMING_FIELDS = ("epoch_wall_time_s", "cumulative_time_s", "median_epoch_time_s")
-VARIANT_ORDER = ("rae", "raes", "raesc", "raes-stretch")
 
 
 @dataclass
@@ -74,7 +73,6 @@ class ExperimentConfig:
     lr: float = 1e-3
     decoder_hidden: int | None = None
     out_dir: Path | None = None
-    parallel: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -125,10 +123,16 @@ def train_epoch(
     """One optimizer pass over the train split followed by a validation pass.
 
     The target of every batch is the batch itself (reconstruction). Wall time
-    is measured around the training pass only.
+    is measured around the training pass only. An empty train split raises
+    ValueError rather than averaging no losses into NaN.
     """
     params = model.parameters()
     train_batches = batches(dataset, "train", batch_size)
+    if not train_batches:
+        raise ValueError(
+            f"the train split is empty ({len(dataset.train_indices)} of "
+            f"{dataset.n_sequences} sequences); use more sequences"
+        )
     batch_losses = []
     start = time.perf_counter()
     for bi, xb in enumerate(train_batches):
@@ -174,8 +178,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[VariantResult]:
     """Train every requested variant on one shared dataset and split.
 
     Infeasible variants come back as skipped results with the reason, not an
-    error. Sequential execution is the default so epoch timings do not
-    contend; cfg.parallel trains variants on separate threads instead.
+    error. Variants train one after another so their epoch timings do not
+    contend.
     """
     data_cfg = SignalConfig(
         n_sequences=cfg.n_sequences,
@@ -186,12 +190,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[VariantResult]:
     )
     dataset = shuffle_split(generate_dataset(data_cfg), derive_seed(cfg.seed, "split"))
     context = ContextSpec.autoencoding(cfg.seq_len, cfg.n_features, cfg.sigma)
-    if cfg.parallel and len(cfg.variants) > 1:
-        with ThreadPoolExecutor(max_workers=len(cfg.variants)) as pool:
-            futures = [pool.submit(_run_variant, cfg, context, dataset, v) for v in cfg.variants]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_variant(cfg, context, dataset, v) for v in cfg.variants]
+    results = [_run_variant(cfg, context, dataset, v) for v in cfg.variants]
     if cfg.out_dir is not None:
         write_report(results, cfg.out_dir)
     return results
@@ -266,7 +265,7 @@ def write_report(results: list[VariantResult], out_dir) -> None:
 
 def format_summary_table(results: list[VariantResult]) -> str:
     """Median epoch times as rows of (features, sigma) with one variant per column."""
-    kinds = [k for k in VARIANT_ORDER if any(r.variant.kind == k for r in results)]
+    kinds = [k for k in VARIANT_KINDS if any(r.variant.kind == k for r in results)]
     kinds += sorted({r.variant.kind for r in results} - set(kinds))
     cells: dict[tuple[int, float, str], str] = {}
     for res in results:

@@ -17,7 +17,6 @@ from .tensor import (
     mul,
     record_op,
     sigmoid,
-    swap_last_axes,
     tanh_op,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "gru_forward",
     "conv1d_forward",
     "maxpool1d_forward",
-    "transpose_seq_channels",
     "time_distributed_dense",
 ]
 
@@ -285,11 +283,6 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
         accumulate_grad(seq, gx[0] if squeeze else gx)
 
     return record_op("maxpool1d", out[0] if squeeze else out, (seq,), back)
-
-
-def transpose_seq_channels(seq: Tensor) -> Tensor:
-    """Swap sequence and channel axes so each channel becomes a sequence element."""
-    return swap_last_axes(seq)
 
 
 def time_distributed_dense(layer: DenseLayer, seq) -> list[Tensor]:

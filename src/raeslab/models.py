@@ -32,7 +32,6 @@ from .layers import (
     gru_forward,
     maxpool1d_forward,
     time_distributed_dense,
-    transpose_seq_channels,
 )
 from .tensor import (
     ShapeError,
@@ -40,6 +39,7 @@ from .tensor import (
     matmul,
     reshape,
     stack_steps,
+    swap_last_axes,
     unstack_steps,
 )
 
@@ -56,10 +56,6 @@ __all__ = [
     "raes_feasible",
     "transform_context",
     "stretch_context",
-    "rae_forward",
-    "raes_forward",
-    "raesc_forward",
-    "raes_stretch_forward",
     "decoder_input_features",
     "infeasibility_reason",
 ]
@@ -110,37 +106,29 @@ def raes_feasible(context_size: int, seq_len: int) -> int | None:
 
 @dataclass(frozen=True)
 class ContextSpec:
-    """Sizes shared by every variant: sequence geometry and context length."""
+    """Sizes shared by every variant: sequence geometry and the context ratio.
+
+    The decoder reconstructs the input, so it emits seq_len steps of
+    n_features each.
+    """
 
     seq_len: int
     n_features: int
-    out_len: int
-    out_features: int
     sigma: float
-    context_size: int
 
     def __post_init__(self):
-        for field in ("seq_len", "n_features", "out_len", "out_features"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"ContextSpec.{field} must be >= 1")
-        expected = context_size_from_sigma(self.sigma, self.n_features, self.seq_len)
-        if self.context_size != expected:
-            raise ValueError(
-                f"context_size {self.context_size} does not match "
-                f"round(sigma * n_features * seq_len) = {expected}"
-            )
+        # validates all three fields and rejects an empty context
+        context_size_from_sigma(self.sigma, self.n_features, self.seq_len)
 
     @classmethod
     def autoencoding(cls, seq_len: int, n_features: int, sigma: float) -> "ContextSpec":
         """Spec for reconstruction runs, where the output mirrors the input."""
-        return cls(
-            seq_len=seq_len,
-            n_features=n_features,
-            out_len=seq_len,
-            out_features=n_features,
-            sigma=sigma,
-            context_size=context_size_from_sigma(sigma, n_features, seq_len),
-        )
+        return cls(seq_len=seq_len, n_features=n_features, sigma=sigma)
+
+    @property
+    def context_size(self) -> int:
+        """Context length: round(sigma * n_features * seq_len)."""
+        return context_size_from_sigma(self.sigma, self.n_features, self.seq_len)
 
     @property
     def step_features(self) -> int | None:
@@ -216,8 +204,6 @@ def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
     if variant.kind == RAE:
         return context.context_size
     if variant.kind == RAES:
-        if context.out_len != context.seq_len:
-            raise ValueError("the sequence reinterpretation decodes exactly seq_len steps, so out_len must equal seq_len")
         lam = context.step_features
         if lam is None:
             raise ValueError(
@@ -236,8 +222,6 @@ def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
             context.context_size, variant.kernel_size, variant.pool_size, variant.pool_stride
         )
     if variant.kind == RAES_STRETCH:
-        if context.out_len != context.seq_len:
-            raise ValueError("stretched decoding produces exactly seq_len steps, so out_len must equal seq_len")
         if context.context_size > context.seq_len:
             raise ValueError(
                 f"stretch only upsamples: context size {context.context_size} exceeds "
@@ -287,10 +271,10 @@ class AutoencoderModel:
         encoder = GRULayer(context.n_features, context.context_size, rng)
         conv = pool = None
         if variant.kind == RAESC:
-            conv = Conv1DLayer(1, context.out_len, variant.kernel_size, rng)
+            conv = Conv1DLayer(1, context.seq_len, variant.kernel_size, rng)
             pool = MaxPool1D(variant.pool_size, variant.pool_stride)
         decoder = GRULayer(feat, hidden, rng)
-        head = DenseLayer(hidden, context.out_features, rng)
+        head = DenseLayer(hidden, context.n_features, rng)
         model = cls(variant, context, encoder, decoder, head, conv, pool)
         for prefix, layer in model._named_layers():
             for p in layer.parameters():
@@ -310,18 +294,8 @@ class AutoencoderModel:
         return out
 
     def forward(self, x: Tensor) -> Tensor:
-        dispatch = {
-            RAE: rae_forward,
-            RAES: raes_forward,
-            RAESC: raesc_forward,
-            RAES_STRETCH: raes_stretch_forward,
-        }
-        return dispatch[self.variant.kind](self, x)
-
-
-def _check_variant(model: AutoencoderModel, expected: str) -> None:
-    if model.variant.kind != expected:
-        raise ValueError(f"model variant is {model.variant.kind!r}, expected {expected!r}")
+        """Encode, turn the context into decoder input steps, decode."""
+        return decode_steps(self, decoder_input_steps(self, encode_context(self, x)), x)
 
 
 def _zeros_like_state(x: Tensor, hidden: int) -> Tensor:
@@ -355,7 +329,7 @@ def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor
     kind = model.variant.kind
     spec = model.context
     if kind == RAE:
-        return [context] * spec.out_len
+        return [context] * spec.seq_len
     if kind == RAES:
         return unstack_steps(transform_context(context, spec.seq_len))
     if kind == RAESC:
@@ -365,35 +339,8 @@ def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor
             seq = reshape(context, (context.shape[0], spec.context_size, 1))
         responses = conv1d_forward(model.conv, seq)
         pooled = maxpool1d_forward(model.pool, responses)
-        return unstack_steps(transpose_seq_channels(pooled))
+        return unstack_steps(swap_last_axes(pooled))
     if kind == RAES_STRETCH:
         return unstack_steps(stretch_context(context, spec.seq_len))
     raise ValueError(f"unknown variant {kind!r}")
 
-
-def rae_forward(model: AutoencoderModel, x: Tensor) -> Tensor:
-    """Baseline decoding: the context vector is the decoder input at every step."""
-    _check_variant(model, RAE)
-    context = encode_context(model, x)
-    return decode_steps(model, decoder_input_steps(model, context), x)
-
-
-def raes_forward(model: AutoencoderModel, x: Tensor) -> Tensor:
-    """Sequence decoding: the reshaped context is consumed step by step."""
-    _check_variant(model, RAES)
-    context = encode_context(model, x)
-    return decode_steps(model, decoder_input_steps(model, context), x)
-
-
-def raesc_forward(model: AutoencoderModel, x: Tensor) -> Tensor:
-    """Convolutional decoding: conv + pool over the context, channels become steps."""
-    _check_variant(model, RAESC)
-    context = encode_context(model, x)
-    return decode_steps(model, decoder_input_steps(model, context), x)
-
-
-def raes_stretch_forward(model: AutoencoderModel, x: Tensor) -> Tensor:
-    """Interpolated decoding: the context is stretched to one feature per step."""
-    _check_variant(model, RAES_STRETCH)
-    context = encode_context(model, x)
-    return decode_steps(model, decoder_input_steps(model, context), x)

@@ -39,22 +39,16 @@ class AdamState:
         adam_step(self)
 
 
-def adam_step(state: AdamState, params=None) -> None:
+def adam_step(state: AdamState) -> None:
     """One bias-corrected Adam update, applied to the parameters in place.
 
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, and the step is
     -lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
     """
-    if params is None:
-        params = state.params
-    else:
-        params = list(params)
-        if len(params) != len(state.params) or any(a is not b for a, b in zip(params, state.params)):
-            raise ValueError("adam_step got a parameter list different from the one the state was built for")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for i, p in enumerate(params):
+    for i, p in enumerate(state.params):
         g = p.grad
         label = p.name or f"parameter #{i}"
         if g is None:

@@ -75,40 +75,9 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -135,9 +104,6 @@ class Tape:
 
     def op_names(self) -> list[str]:
         return [name for name, _, _ in self._records]
-
-    def backward(self, loss: "Tensor") -> None:
-        backward(self, loss)
 
 
 _LOCAL = threading.local()
@@ -209,11 +175,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum; also accepts a scalar or a trailing-axis bias vector.
-
-    A 1-D operand of length ``m`` may be added to any tensor whose last axis
-    is ``m`` (bias broadcast); its gradient sums over the leading axes.
-    """
+    """Elementwise sum; either operand may be a scalar."""
     if isinstance(b, (int, float)):
         a = _as_tensor(a)
         out = a.data + float(b)
@@ -228,32 +190,17 @@ def add(a, b) -> Tensor:
 
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.shape == b.shape:
-        out = a.data + b.data
-
-        def back(g, a=a, b=b):
-            if a.requires_grad:
-                accumulate_grad(a, g)
-            if b.requires_grad:
-                accumulate_grad(b, g)
-
-        return record_op("add", out, (a, b), back)
-
-    if b.ndim == 1 and a.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        big, vec = a, b
-    elif a.ndim == 1 and b.ndim >= 2 and b.shape[-1] == a.shape[0]:
-        big, vec = b, a
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = big.data + vec.data
+    out = a.data + b.data
 
-    def back(g, big=big, vec=vec):
-        if big.requires_grad:
-            accumulate_grad(big, g)
-        if vec.requires_grad:
-            accumulate_grad(vec, g.sum(axis=tuple(range(g.ndim - 1))))
+    def back(g, a=a, b=b):
+        if a.requires_grad:
+            accumulate_grad(a, g)
+        if b.requires_grad:
+            accumulate_grad(b, g)
 
-    return record_op("add", out, (big, vec), back)
+    return record_op("add", out, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
@@ -340,7 +287,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op("matmul", out, (a, b), back)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w.T + b`` for ``x`` of shape [in] or [batch, in].
 
     ``w`` is stored [out, in] so a row holds one output unit's weights.
@@ -350,17 +297,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear weight must be 2-D [out, in], got {w.shape}")
     if x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear input {x.shape} does not match weight {w.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
     single = x.ndim == 1
     x2 = x.data[None, :] if single else x.data
-    out = x2 @ w.data.T
-    if b is not None:
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
-        out = out + b.data
+    out = x2 @ w.data.T + b.data
     if single:
         out = out[0]
-
-    inputs = (x, w) if b is None else (x, w, b)
 
     def back(g, x=x, w=w, b=b, single=single, x2=x2):
         g2 = g[None, :] if single else g
@@ -369,10 +312,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             accumulate_grad(x, gx[0] if single else gx)
         if w.requires_grad:
             accumulate_grad(w, g2.T @ x2)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             accumulate_grad(b, g2.sum(axis=0))
 
-    return record_op("linear", out, inputs, back)
+    return record_op("linear", out, (x, w, b), back)
 
 
 def sigmoid(a: Tensor) -> Tensor:

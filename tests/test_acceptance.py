@@ -178,7 +178,6 @@ def test_criterion_5_epoch_time_ordering():
         epochs=7,
         n_sequences=500,
         seed=2,
-        parallel=False,  # sequential benchmark mode
         **DESK,
     )
     results = run_experiment(cfg)

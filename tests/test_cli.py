@@ -69,6 +69,17 @@ class TestRun:
         proc = raes_lab("run", "--model", "vae", "--out", str(tmp_path / "x"))
         assert proc.returncode != 0
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--epochs", "0"), ("--sigma", "-1"), ("--pool-stride", "0"), ("--n-sequences", "1")],
+    )
+    def test_bad_value_is_one_line_error(self, tmp_path, flag, value):
+        proc = raes_lab("run", *BASE_RUN, flag, value, "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("raes-lab: error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_determinism_excluding_timing_columns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

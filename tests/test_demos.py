@@ -1,0 +1,38 @@
+"""Every demo script runs to completion against the library in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # demo 04 writes its report under tempfile.mkdtemp and leaves it there
+    env["TMPDIR"] = str(tmp_path)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "01_autodiff_basics.py",
+        "02_context_decoding_strategies.py",
+        pytest.param("03_training_comparison.py", marks=pytest.mark.slow),
+        "04_feasibility_and_reports.py",
+    ],
+)
+def test_demo_exits_zero(name, tmp_path):
+    proc = run_demo(name, tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -15,9 +15,8 @@ from raeslab.layers import (
     init_params,
     maxpool1d_forward,
     time_distributed_dense,
-    transpose_seq_channels,
 )
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, stack_steps, sum_all
+from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, stack_steps, sum_all, swap_last_axes
 
 
 def naive_conv1d(x, w, b):
@@ -222,16 +221,16 @@ class TestMaxPool:
 
 class TestTranspose:
     def test_definition(self):
-        out = transpose_seq_channels(Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        out = swap_last_axes(Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         assert out.data.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
 
     def test_involution(self):
         x = np.random.default_rng(4).uniform(-1, 1, (3, 5))
-        twice = transpose_seq_channels(transpose_seq_channels(Tensor(x)))
+        twice = swap_last_axes(swap_last_axes(Tensor(x)))
         assert np.array_equal(twice.data, x)
 
     def test_one_by_one(self):
-        out = transpose_seq_channels(Tensor([[7.0]]))
+        out = swap_last_axes(Tensor([[7.0]]))
         assert out.data.tolist() == [[7.0]]
 
 
@@ -326,6 +325,6 @@ class TestLayerGradients:
 
         def build():
             hidden = maxpool1d_forward(pool, conv1d_forward(layer, seq))
-            return sum_all(mul(transpose_seq_channels(hidden), proj))
+            return sum_all(mul(swap_last_axes(hidden), proj))
 
         assert check_gradients(build, layer.parameters() + [seq]) < 1e-4

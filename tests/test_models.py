@@ -170,9 +170,9 @@ class TestForwards:
         model, spec = build_model(kind, sigma=sigma, **kw)
         rng = np.random.default_rng(1)
         single = model.forward(Tensor(rng.uniform(-1, 1, (spec.seq_len, spec.n_features))))
-        assert single.shape == (spec.out_len, spec.out_features)
+        assert single.shape == (spec.seq_len, spec.n_features)
         batched = model.forward(Tensor(rng.uniform(-1, 1, (5, spec.seq_len, spec.n_features))))
-        assert batched.shape == (5, spec.out_len, spec.out_features)
+        assert batched.shape == (5, spec.seq_len, spec.n_features)
 
     def test_zero_parameters_give_zero_output(self):
         model, spec = build_model(RAE, sigma=1.25)
@@ -191,7 +191,7 @@ class TestForwards:
             model, spec = build_model(kind, sigma=sigma, seed=3, **kw)
             x = Tensor(np.random.default_rng(4).uniform(-1, 1, (spec.seq_len, 1)))
             with Tape() as tape:
-                loss = mse_loss(model.forward(x), np.ones((spec.out_len, 1)))
+                loss = mse_loss(model.forward(x), np.ones((spec.seq_len, 1)))
                 backward(tape, loss)
             total = sum(float(np.abs(p.grad).sum()) for p in model.parameters())
             assert total > 0.0, kind
@@ -229,19 +229,12 @@ class TestForwards:
         for kind, sigma, kw in [(RAES, 2.0, {}), (RAESC, 1.5, {"kernel_size": 2, "pool_size": 2})]:
             model, spec = build_model(kind, sigma=sigma, seed=6, **kw)
             x = Tensor(np.random.default_rng(7).uniform(-1, 1, (spec.seq_len, 1)))
-            target = np.random.default_rng(8).uniform(-1, 1, (spec.out_len, 1))
+            target = np.random.default_rng(8).uniform(-1, 1, (spec.seq_len, 1))
 
             def build():
                 return mse_loss(model.forward(x), target)
 
             assert check_gradients(build, model.parameters()) < 1e-4
-
-    def test_wrong_variant_dispatch_rejected(self):
-        from raeslab.models import raes_forward
-
-        model, spec = build_model(RAE, sigma=1.25)
-        with pytest.raises(ValueError):
-            raes_forward(model, Tensor(np.zeros((spec.seq_len, 1))))
 
 
 class TestModelStructure:
@@ -251,7 +244,7 @@ class TestModelStructure:
 
     def test_raesc_filter_count_is_output_length(self):
         model, spec = build_model(RAESC, seq_len=5, sigma=2.0, kernel_size=2, pool_size=2)
-        assert model.conv.filters == spec.out_len == 5
+        assert model.conv.filters == spec.seq_len == 5
 
     def test_decoder_hidden_defaults_to_context_size_and_is_overridable(self):
         model, spec = build_model(RAE, sigma=1.25)

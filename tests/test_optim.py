@@ -118,10 +118,3 @@ class TestAdam:
             p.grad = np.array([0.1])
             adam_step(state)
             assert state.t == expected
-
-    def test_foreign_parameter_list_rejected(self):
-        p, q = fresh_param([1.0]), fresh_param([1.0])
-        state = AdamState([p])
-        q.grad = np.array([1.0])
-        with pytest.raises(ValueError):
-            adam_step(state, [q])

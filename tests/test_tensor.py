@@ -164,16 +164,6 @@ class TestFiniteDifferencesPerOp:
         for build in (build_reshape, build_swap, build_stack):
             assert check_gradients(build, [a]) < 1e-4
 
-    def test_bias_broadcast_add(self):
-        rng = np.random.default_rng(3)
-        a = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-        bias = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
-
-        def build():
-            return sum_all(mul(add(a, bias), add(a, bias)))
-
-        assert check_gradients(build, [a, bias]) < 1e-4
-
 
 class TestTensorInvariants:
     def test_flat_row_major_storage(self):
