@@ -28,19 +28,20 @@ for features in (1, 2, 4, 8):
         print(f"{features:>8} {sigma:>6.0%} {n_c:>8} {marks[0]:>4} {marks[1]:>5} {marks[2]:>6}")
 
 print("\nrunning one tiny cell to produce the report files...")
-out = Path(tempfile.mkdtemp(prefix="raes-demo-"))
-cfg = ExperimentConfig(
-    variants=[ModelVariant("rae"), ModelVariant("raes"), ModelVariant("raesc")],
-    n_features=1,
-    seq_len=16,
-    sigma=1.0,
-    epochs=3,
-    n_sequences=60,
-    batch_size=12,
-    seed=0,
-    out_dir=out,
-)
-run_experiment(cfg)
-for path in sorted(out.iterdir()):
-    print(f"\n--- {path.name} ---")
-    print(path.read_text(), end="")
+with tempfile.TemporaryDirectory(prefix="raes-demo-") as tmp:
+    out = Path(tmp)
+    cfg = ExperimentConfig(
+        variants=[ModelVariant("rae"), ModelVariant("raes"), ModelVariant("raesc")],
+        n_features=1,
+        seq_len=16,
+        sigma=1.0,
+        epochs=3,
+        n_sequences=60,
+        batch_size=12,
+        seed=0,
+        out_dir=out,
+    )
+    run_experiment(cfg)
+    for path in sorted(out.iterdir()):
+        print(f"\n--- {path.name} ---")
+        print(path.read_text(), end="")

@@ -22,12 +22,7 @@ __all__ = ["main"]
 def _variants(models_arg: str, kernel_size: int, pool_size: int, pool_stride: int | None) -> list[ModelVariant]:
     kinds = list(VARIANT_KINDS) if models_arg == "all" else [k.strip() for k in models_arg.split(",") if k.strip()]
     stride = pool_size if pool_stride is None else pool_stride
-    out = []
-    for kind in kinds:
-        if kind not in VARIANT_KINDS:
-            raise SystemExit(f"unknown model {kind!r}; choose from {', '.join(VARIANT_KINDS)} or 'all'")
-        out.append(ModelVariant(kind, kernel_size=kernel_size, pool_size=pool_size, pool_stride=stride))
-    return out
+    return [ModelVariant(kind, kernel_size=kernel_size, pool_size=pool_size, pool_stride=stride) for kind in kinds]
 
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
@@ -110,17 +105,17 @@ def _cmd_grid(args) -> int:
     variants = _variants(args.models, args.kernel_size, args.pool_size, args.pool_stride)
     features = [int(x) for x in args.features.split(",") if x.strip()]
     sigmas = [float(x) for x in args.sigmas.split(",") if x.strip()]
+    # every cell's config is built, and so checked, before the first one trains
+    cells = [_experiment_config(args, variants, nf, sigma, None) for nf in features for sigma in sigmas]
     all_results = []
-    for nf in features:
-        for sigma in sigmas:
-            cfg = _experiment_config(args, variants, nf, sigma, None)
-            cell = run_experiment(cfg)
-            all_results.extend(cell)
-            done = ", ".join(
-                f"{r.variant.kind}=-" if r.skipped else f"{r.variant.kind}={median_epoch_time(r.records):.4g}s"
-                for r in cell
-            )
-            print(f"features={nf} sigma={sigma:g}: {done}")
+    for cfg in cells:
+        cell = run_experiment(cfg)
+        all_results.extend(cell)
+        done = ", ".join(
+            f"{r.variant.kind}=-" if r.skipped else f"{r.variant.kind}={median_epoch_time(r.records):.4g}s"
+            for r in cell
+        )
+        print(f"features={cfg.n_features} sigma={cfg.sigma:g}: {done}")
     write_report(all_results, args.out)
     print()
     print(format_summary_table(all_results), end="")

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # rejects a bad sigma or size when the config is built, not when it runs
+        ContextSpec.autoencoding(self.seq_len, self.n_features, self.sigma)
 
 
 @dataclass
@@ -266,7 +268,6 @@ def write_report(results: list[VariantResult], out_dir) -> None:
 def format_summary_table(results: list[VariantResult]) -> str:
     """Median epoch times as rows of (features, sigma) with one variant per column."""
     kinds = [k for k in VARIANT_KINDS if any(r.variant.kind == k for r in results)]
-    kinds += sorted({r.variant.kind for r in results} - set(kinds))
     cells: dict[tuple[int, float, str], str] = {}
     for res in results:
         key = (res.context.n_features, res.context.sigma, res.variant.kind)

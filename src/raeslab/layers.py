@@ -9,16 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    accumulate_grad,
-    linear,
-    mul,
-    record_op,
-    sigmoid,
-    tanh_op,
-)
+from .tensor import ShapeError, Tensor, _logistic, accumulate_grad, linear, record_op
 
 __all__ = [
     "init_params",
@@ -138,59 +129,47 @@ class MaxPool1D:
         self.stride = stride
 
 
-def _gate_preact(x: Tensor, w: Tensor, b: Tensor, h: Tensor, u: Tensor) -> Tensor:
-    """x @ w.T + h @ u.T + b as one tape record (the hot path of every gate)."""
+def gru_step(layer: GRULayer, x: Tensor, h: Tensor) -> Tensor:
+    """One recurrence step as one tape record; x is [input] or [B, input], h is [hidden] or [B, hidden]."""
+    if x.shape[-1] != layer.input_size:
+        raise ShapeError(f"gru_step input features {x.shape} do not match input_size {layer.input_size}")
+    if h.shape != x.shape[:-1] + (layer.hidden_size,):
+        raise ShapeError(f"gru_step state {h.shape} does not match input {x.shape} and hidden_size {layer.hidden_size}")
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
     single = x.ndim == 1
     x2 = x.data[None] if single else x.data
     h2 = h.data[None] if single else h.data
-    out = x2 @ w.data.T + h2 @ u.data.T + b.data
-    if single:
-        out = out[0]
+    z = _logistic(x2 @ W_z.data.T + h2 @ U_z.data.T + b_z.data)
+    r = _logistic(x2 @ W_r.data.T + h2 @ U_r.data.T + b_r.data)
+    rh = r * h2
+    cand = np.tanh(x2 @ W_h.data.T + rh @ U_h.data.T + b_h.data)
+    out = (1.0 - z) * h2 + z * cand
 
-    def back(g, x=x, w=w, b=b, h=h, u=u, x2=x2, h2=h2, single=single):
-        g2 = g[None] if single else g
+    def back(g, x=x, h=h, x2=x2, h2=h2, z=z, r=r, rh=rh, cand=cand, single=single):
+        # The expressions, and the order in which terms are added into x, h
+        # and each parameter, are those of the eight per-gate tape records
+        # (the oracle in tests/test_layers.py) replayed in reverse, so every
+        # gradient rounds identically to that composition.
+        g = g[None] if single else g
+        g_c = g * z * (1.0 - cand * cand)
+        g_rh = g_c @ U_h.data
+        g_r = g_rh * h2 * r * (1.0 - r)
+        g_z = g * (cand - h2) * z * (1.0 - z)
+        if h.requires_grad:
+            for term in (g * (1.0 - z), g_rh * r, g_r @ U_r.data, g_z @ U_z.data):
+                accumulate_grad(h, term[0] if single else term)
         if x.requires_grad:
-            gx = g2 @ w.data
-            accumulate_grad(x, gx[0] if single else gx)
-        if w.requires_grad:
-            accumulate_grad(w, g2.T @ x2)
-        if h.requires_grad:
-            gh = g2 @ u.data
-            accumulate_grad(h, gh[0] if single else gh)
-        if u.requires_grad:
-            accumulate_grad(u, g2.T @ h2)
-        if b.requires_grad:
-            accumulate_grad(b, g2.sum(axis=0))
+            for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
+                accumulate_grad(x, term[0] if single else term)
+        for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
+            if w.requires_grad:
+                accumulate_grad(w, gate.T @ x2)
+            if u.requires_grad:
+                accumulate_grad(u, gate.T @ state)
+            if b.requires_grad:
+                accumulate_grad(b, gate.sum(axis=0))
 
-    return record_op("gate_preact", out, (x, w, b, h, u), back)
-
-
-def _gate_blend(z: Tensor, h: Tensor, cand: Tensor) -> Tensor:
-    """(1 - z) * h + z * cand as one tape record."""
-    zd = z.data
-    out = (1.0 - zd) * h.data + zd * cand.data
-
-    def back(g, z=z, h=h, cand=cand, zd=zd):
-        if z.requires_grad:
-            accumulate_grad(z, g * (cand.data - h.data))
-        if h.requires_grad:
-            accumulate_grad(h, g * (1.0 - zd))
-        if cand.requires_grad:
-            accumulate_grad(cand, g * zd)
-
-    return record_op("gate_blend", out, (z, h, cand), back)
-
-
-def gru_step(layer: GRULayer, x: Tensor, h: Tensor) -> Tensor:
-    """One recurrence step; x is [input] or [B, input], h is [hidden] or [B, hidden]."""
-    if x.shape[-1] != layer.input_size:
-        raise ShapeError(f"gru_step input features {x.shape} do not match input_size {layer.input_size}")
-    if h.shape[-1] != layer.hidden_size:
-        raise ShapeError(f"gru_step state {h.shape} does not match hidden_size {layer.hidden_size}")
-    z = sigmoid(_gate_preact(x, layer.W_z, layer.b_z, h, layer.U_z))
-    r = sigmoid(_gate_preact(x, layer.W_r, layer.b_r, h, layer.U_r))
-    cand = tanh_op(_gate_preact(x, layer.W_h, layer.b_h, mul(r, h), layer.U_h))
-    return _gate_blend(z, h, cand)
+    return record_op("gru_step", out[0] if single else out, (x, h, *params), back)
 
 
 def gru_forward(layer: GRULayer, xs, h0: Tensor) -> tuple[list[Tensor], Tensor]:
@@ -258,28 +237,21 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     The gradient routes to the window's argmax element, first occurrence on ties.
     """
     x3, squeeze = _promote_seq(seq, "maxpool1d_forward")
-    batch, length, channels = x3.shape
+    length = x3.shape[1]
     p, s = pool.pool_size, pool.stride
     if length < p:
         raise ShapeError(f"maxpool1d_forward sequence length {length} shorter than pool size {p}")
-    out_len = (length - p) // s + 1
-    out = np.empty((batch, out_len, channels))
-    argmax = np.empty((batch, out_len, channels), dtype=np.intp)
-    for j in range(out_len):
-        win = x3[:, j * s : j * s + p, :]
-        idx = win.argmax(axis=1)
-        argmax[:, j, :] = idx
-        out[:, j, :] = np.take_along_axis(win, idx[:, None, :], axis=1)[:, 0, :]
+    windows = np.lib.stride_tricks.sliding_window_view(x3, p, axis=1)[:, ::s]
+    argmax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
 
-    def back(g, seq=seq, x3=x3, squeeze=squeeze, argmax=argmax, s=s, out_len=out_len):
+    def back(g, seq=seq, x3=x3, squeeze=squeeze, argmax=argmax, s=s):
         if not seq.requires_grad:
             return
-        g3 = g[None] if squeeze else g
         gx = np.zeros_like(x3)
-        bidx = np.arange(x3.shape[0])[:, None]
-        cidx = np.arange(x3.shape[2])[None, :]
-        for j in range(out_len):
-            gx[bidx, j * s + argmax[:, j, :], cidx] += g3[:, j, :]
+        # np.add.at adds in (b, j, c) order, so overlapping windows sum in j order
+        b, j, c = np.ogrid[: argmax.shape[0], : argmax.shape[1], : argmax.shape[2]]
+        np.add.at(gx, (b, j * s + argmax, c), g[None] if squeeze else g)
         accumulate_grad(seq, gx[0] if squeeze else gx)
 
     return record_op("maxpool1d", out[0] if squeeze else out, (seq,), back)

@@ -221,14 +221,13 @@ def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
         return raesc_feature_len(
             context.context_size, variant.kernel_size, variant.pool_size, variant.pool_stride
         )
-    if variant.kind == RAES_STRETCH:
-        if context.context_size > context.seq_len:
-            raise ValueError(
-                f"stretch only upsamples: context size {context.context_size} exceeds "
-                f"sequence length {context.seq_len}"
-            )
-        return 1
-    raise ValueError(f"unknown variant {variant.kind!r}")
+    # RAES_STRETCH, the last kind ModelVariant admits
+    if context.context_size > context.seq_len:
+        raise ValueError(
+            f"stretch only upsamples: context size {context.context_size} exceeds "
+            f"sequence length {context.seq_len}"
+        )
+    return 1
 
 
 def infeasibility_reason(variant: ModelVariant, context: ContextSpec) -> str | None:
@@ -340,7 +339,6 @@ def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor
         responses = conv1d_forward(model.conv, seq)
         pooled = maxpool1d_forward(model.pool, responses)
         return unstack_steps(swap_last_axes(pooled))
-    if kind == RAES_STRETCH:
-        return unstack_steps(stretch_context(context, spec.seq_len))
-    raise ValueError(f"unknown variant {kind!r}")
+    # RAES_STRETCH, the last kind ModelVariant admits
+    return unstack_steps(stretch_context(context, spec.seq_len))
 

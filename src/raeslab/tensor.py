@@ -318,13 +318,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return record_op("linear", out, (x, w, b), back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise logistic function, computed without overflow on either tail.
+def _logistic(a: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x) as exp(-log(1+e^-x)): logaddexp keeps both tails finite."""
+    return np.exp(-np.logaddexp(0.0, -a))
 
-    1/(1+e^-x) as exp(-log(1+e^-x)): logaddexp keeps both tails finite.
-    """
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Elementwise logistic function, computed without overflow on either tail."""
     a = _as_tensor(a)
-    out = np.exp(-np.logaddexp(0.0, -a.data))
+    out = _logistic(a.data)
 
     def back(g, a=a, s=out):
         if a.requires_grad:

@@ -65,13 +65,9 @@ class TestRun:
         assert "skipped" in proc.stdout
         assert not (out / "f1_s25_raes.csv").exists()
 
-    def test_unknown_model_rejected(self, tmp_path):
-        proc = raes_lab("run", "--model", "vae", "--out", str(tmp_path / "x"))
-        assert proc.returncode != 0
-
     @pytest.mark.parametrize(
         "flag,value",
-        [("--epochs", "0"), ("--sigma", "-1"), ("--pool-stride", "0"), ("--n-sequences", "1")],
+        [("--epochs", "0"), ("--sigma", "-1"), ("--pool-stride", "0"), ("--n-sequences", "1"), ("--model", "vae")],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, flag, value):
         proc = raes_lab("run", *BASE_RUN, flag, value, "--out", str(tmp_path / "x"))
@@ -107,6 +103,19 @@ class TestGrid:
         assert raes_cells[("2", "25%")] == "-"
         assert raes_cells[("1", "100%")] != "-"
         assert raes_cells[("2", "100%")] != "-"
+
+
+    def test_bad_later_cell_fails_before_any_training(self, tmp_path):
+        out = tmp_path / "grid"
+        proc = raes_lab(
+            "grid", "--features", "1", "--sigmas", "1.0,-1", "--models", "rae",
+            "--seq-len", "8", "--epochs", "1", "--n-sequences", "10", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("raes-lab: error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "features=" not in proc.stdout
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

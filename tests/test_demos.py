@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def run_demo(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # demo 04 writes its report under tempfile.mkdtemp and leaves it there
+    # demo 04 writes its report into a temporary directory under TMPDIR
     env["TMPDIR"] = str(tmp_path)
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
@@ -36,3 +36,4 @@ def run_demo(name, tmp_path):
 def test_demo_exits_zero(name, tmp_path):
     proc = run_demo(name, tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("raes-demo-*")), "a demo left its temporary directory behind"

@@ -16,7 +16,21 @@ from raeslab.layers import (
     maxpool1d_forward,
     time_distributed_dense,
 )
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, stack_steps, sum_all, swap_last_axes
+from raeslab.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    accumulate_grad,
+    backward,
+    mul,
+    record_op,
+    sigmoid,
+    stack_steps,
+    sum_all,
+    swap_last_axes,
+    tanh_op,
+    zero_grads,
+)
 
 
 def naive_conv1d(x, w, b):
@@ -43,6 +57,56 @@ def naive_maxpool(x, pool, stride):
         for c in range(channels):
             out[j, c] = max(x[j * stride + k, c] for k in range(pool))
     return out
+
+
+def oracle_gate_preact(x, w, b, h, u):
+    """x @ w.T + h @ u.T + b as one tape record."""
+    single = x.ndim == 1
+    x2 = x.data[None] if single else x.data
+    h2 = h.data[None] if single else h.data
+    out = x2 @ w.data.T + h2 @ u.data.T + b.data
+    if single:
+        out = out[0]
+
+    def back(g):
+        g2 = g[None] if single else g
+        if x.requires_grad:
+            gx = g2 @ w.data
+            accumulate_grad(x, gx[0] if single else gx)
+        if w.requires_grad:
+            accumulate_grad(w, g2.T @ x2)
+        if h.requires_grad:
+            gh = g2 @ u.data
+            accumulate_grad(h, gh[0] if single else gh)
+        if u.requires_grad:
+            accumulate_grad(u, g2.T @ h2)
+        if b.requires_grad:
+            accumulate_grad(b, g2.sum(axis=0))
+
+    return record_op("gate_preact", out, (x, w, b, h, u), back)
+
+
+def oracle_gate_blend(z, h, cand):
+    """(1 - z) * h + z * cand as one tape record."""
+    out = (1.0 - z.data) * h.data + z.data * cand.data
+
+    def back(g):
+        if z.requires_grad:
+            accumulate_grad(z, g * (cand.data - h.data))
+        if h.requires_grad:
+            accumulate_grad(h, g * (1.0 - z.data))
+        if cand.requires_grad:
+            accumulate_grad(cand, g * z.data)
+
+    return record_op("gate_blend", out, (z, h, cand), back)
+
+
+def oracle_gru_step(layer, x, h):
+    """The GRU step as eight separate tape records, one per gate operation."""
+    z = sigmoid(oracle_gate_preact(x, layer.W_z, layer.b_z, h, layer.U_z))
+    r = sigmoid(oracle_gate_preact(x, layer.W_r, layer.b_r, h, layer.U_r))
+    cand = tanh_op(oracle_gate_preact(x, layer.W_h, layer.b_h, mul(r, h), layer.U_h))
+    return oracle_gate_blend(z, h, cand)
 
 
 def zeroed_gru(input_size, hidden_size):
@@ -122,6 +186,59 @@ class TestGRUForward:
         layer = zeroed_gru(1, 1)
         with pytest.raises(ValueError):
             gru_forward(layer, [], Tensor(np.zeros(1)))
+
+
+class TestGRUStepOracle:
+    """The one-record step against the per-gate composition: same bits forward and backward."""
+
+    @staticmethod
+    def unroll(step, layer, xs, h0, proj):
+        inputs = list({id(t): t for t in [*xs, h0]}.values())
+        tensors = layer.parameters() + inputs
+        zero_grads(tensors)
+        with Tape() as tape:
+            if step is gru_forward:
+                outs, _ = gru_forward(layer, xs, h0)
+            else:
+                h, outs = h0, []
+                for x in xs:
+                    h = step(layer, x, h)
+                    outs.append(h)
+            backward(tape, sum_all(mul(stack_steps(outs), proj)))
+        return [o.data for o in outs], [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("h_requires_grad", [True, False])
+    @pytest.mark.parametrize("shared_x", [False, True])
+    @pytest.mark.parametrize("fused", [gru_step, gru_forward])
+    def test_bit_identical_to_per_gate_ops(self, batch, h_requires_grad, shared_x, fused):
+        rng = np.random.default_rng(50)
+        layer = GRULayer(5, 7, rng)
+        for p in layer.parameters():
+            p.data[:] = rng.uniform(-1.5, 1.5, p.shape)
+        lead = () if batch is None else (batch,)
+        n_steps = 1 if fused is gru_step else 6
+        if shared_x:
+            xs = [Tensor(rng.uniform(-2, 2, lead + (5,)), requires_grad=True)] * n_steps
+        else:
+            xs = [Tensor(rng.uniform(-2, 2, lead + (5,)), requires_grad=True) for _ in range(n_steps)]
+        h0 = Tensor(rng.uniform(-1, 1, lead + (7,)), requires_grad=h_requires_grad)
+        proj = Tensor(rng.uniform(-1, 1, lead + (n_steps, 7)))
+        outs, grads = self.unroll(fused, layer, xs, h0, proj)
+        want_outs, want_grads = self.unroll(oracle_gru_step, layer, xs, h0, proj)
+        for got, want in zip(outs, want_outs):
+            assert np.array_equal(got, want)
+        assert (grads[-1] is None) == (not h_requires_grad)
+        for got, want in zip(grads, want_grads):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_one_tape_record_per_step(self):
+        rng = np.random.default_rng(51)
+        layer = GRULayer(2, 3, rng)
+        x = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+        with Tape() as tape:
+            gru_forward(layer, [x] * 5, Tensor(np.zeros((4, 3))))
+        assert tape.op_names() == ["gru_step"] * 5
 
 
 class TestConv1D:
