@@ -15,6 +15,7 @@ from .harness import (
     write_report,
 )
 from .models import VARIANT_KINDS, ModelVariant
+from .optim import TrainingError
 
 __all__ = ["main"]
 
@@ -145,6 +146,10 @@ def main(argv=None) -> int:
         # out-of-range flag values surface here; report them like argparse does
         print(f"raes-lab: error: {exc}", file=sys.stderr)
         return 2
+    except TrainingError as exc:
+        # a diverging run (non-finite loss or gradient) is a failed run, not a bad flag
+        print(f"raes-lab: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -219,6 +219,8 @@ def _check_model(kind: str, rng) -> float:
 
 def default_suite(instances: int = 10, seed: int = 2024) -> list[CheckResult]:
     """Run every check ``instances`` times; worst error per check is reported."""
+    if instances < 1:
+        raise ValueError(f"gradcheck needs at least 1 instance per check, got {instances}")
     named = [
         ("core-ops", _check_core_ops),
         ("dense-head", _check_dense),

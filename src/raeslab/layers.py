@@ -141,11 +141,10 @@ def gru_step(layer: GRULayer, x: Tensor, h: Tensor) -> Tensor:
     h2 = h.data[None] if single else h.data
     z = _logistic(x2 @ W_z.data.T + h2 @ U_z.data.T + b_z.data)
     r = _logistic(x2 @ W_r.data.T + h2 @ U_r.data.T + b_r.data)
-    rh = r * h2
-    cand = np.tanh(x2 @ W_h.data.T + rh @ U_h.data.T + b_h.data)
+    cand = np.tanh(x2 @ W_h.data.T + (r * h2) @ U_h.data.T + b_h.data)
     out = (1.0 - z) * h2 + z * cand
 
-    def back(g, x=x, h=h, x2=x2, h2=h2, z=z, r=r, rh=rh, cand=cand, single=single):
+    def back(g, x=x, h=h, x2=x2, h2=h2, z=z, r=r, cand=cand, single=single):
         # The expressions, and the order in which terms are added into x, h
         # and each parameter, are those of the eight per-gate tape records
         # (the oracle in tests/test_layers.py) replayed in reverse, so every
@@ -161,6 +160,8 @@ def gru_step(layer: GRULayer, x: Tensor, h: Tensor) -> Tensor:
         if x.requires_grad:
             for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
                 accumulate_grad(x, term[0] if single else term)
+        # recomputed, not saved: the tape keeps only z, r and cand per step
+        rh = r * h2
         for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
             if w.requires_grad:
                 accumulate_grad(w, gate.T @ x2)
@@ -241,9 +242,18 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     p, s = pool.pool_size, pool.stride
     if length < p:
         raise ShapeError(f"maxpool1d_forward sequence length {length} shorter than pool size {p}")
-    windows = np.lib.stride_tricks.sliding_window_view(x3, p, axis=1)[:, ::s]
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    # running max over the p window offsets: window j's offset-k element is
+    # x3[:, j*s + k], so each offset is one strided slice of the sequence
+    stop = (length - p) // s * s + 1
+    out = x3[:, :stop:s].copy()
+    argmax = np.zeros(out.shape, dtype=np.intp)
+    for k in range(1, p):
+        cand = x3[:, k : k + stop : s]
+        # strictly greater keeps the first maximum on ties; like argmax, the
+        # first NaN in a window wins and is never replaced
+        take = ~(cand <= out) & (out == out)
+        out = np.where(take, cand, out)
+        argmax = np.where(take, k, argmax)
 
     def back(g, seq=seq, x3=x3, squeeze=squeeze, argmax=argmax, s=s):
         if not seq.requires_grad:

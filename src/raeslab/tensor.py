@@ -3,7 +3,8 @@
 The operation set is deliberately small: exactly what recurrent layers, a 1D
 convolution stack and an MSE head need. Values live in row-major (C-contiguous)
 numpy float64 arrays; gradients are arrays of the same shape, allocated lazily
-during the backward pass and accumulated additively across fan-out.
+during the backward pass and accumulated additively across fan-out. An op
+output's gradient is released once its record has replayed; leaves keep theirs.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class Tape:
 
     Operations append themselves in forward order, which is a valid
     topological order by construction. ``backward`` replays every record
-    exactly once, in reverse insertion order.
+    exactly once, in reverse insertion order, and releases each record
+    output's gradient as that record consumes it; leaves keep theirs.
     """
 
     def __init__(self):
@@ -148,9 +150,13 @@ def record_op(name: str, data: np.ndarray, inputs: tuple[Tensor, ...], backward_
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Fill ``grad`` for every tensor reachable from the scalar ``loss``.
+    """Add into ``grad`` of every leaf reachable from the scalar ``loss``.
 
-    Gradients accumulate additively when a tensor feeds several ops.
+    Gradients accumulate additively when a tensor feeds several ops. Each
+    recorded op output's ``grad`` is set back to None as its record replays,
+    so intermediate gradients live only until consumed and a second backward
+    over the same tape adds each leaf's gradient terms once more. Leaves
+    (parameters and inputs, which no record produced) keep their ``grad``.
     """
     if loss.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -158,6 +164,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for _, out, fn in reversed(tape._records):
         g = out.grad
         if g is not None:
+            out.grad = None
             fn(g)
 
 
@@ -319,8 +326,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _logistic(a: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) as exp(-log(1+e^-x)): logaddexp keeps both tails finite."""
-    return np.exp(-np.logaddexp(0.0, -a))
+    """1/(1+e^-x) as (1 + tanh(x/2))/2: tanh saturates at ±1, so neither tail overflows."""
+    t = np.tanh(a * 0.5)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def sigmoid(a: Tensor) -> Tensor:

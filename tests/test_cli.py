@@ -76,6 +76,18 @@ class TestRun:
         assert proc.stderr.startswith("raes-lab: error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_divergence_is_one_line_error(self, tmp_path):
+        proc = raes_lab(
+            "run", "--model", "rae", "--lr", "1e300", "--epochs", "3", "--seq-len", "8",
+            "--n-sequences", "20", "--features", "1", "--out", str(tmp_path / "x"),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        # numpy's overflow warnings may precede it; the error itself is one line
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("raes-lab:")]
+        assert errors == [proc.stderr.strip().splitlines()[-1]]
+        assert errors[0].startswith("raes-lab: error: non-finite")
+
     def test_determinism_excluding_timing_columns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -124,3 +136,10 @@ class TestGradcheckCommand:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "PASS" in proc.stdout
         assert "FAIL" not in proc.stdout
+
+    def test_zero_instances_rejected(self):
+        proc = raes_lab("gradcheck", "--instances", "0")
+        assert proc.returncode == 2
+        assert "PASS" not in proc.stdout
+        assert proc.stderr.startswith("raes-lab: error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1

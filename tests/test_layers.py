@@ -59,6 +59,17 @@ def naive_maxpool(x, pool, stride):
     return out
 
 
+def oracle_maxpool(x, g, pool, stride):
+    """sliding_window_view/argmax max-pool of [B, L, C] x and its np.add.at input gradient for g."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
+    argmax = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    gx = np.zeros_like(x)
+    b, j, c = np.ogrid[: argmax.shape[0], : argmax.shape[1], : argmax.shape[2]]
+    np.add.at(gx, (b, j * stride + argmax, c), g)
+    return out, gx
+
+
 def oracle_gate_preact(x, w, b, h, u):
     """x @ w.T + h @ u.T + b as one tape record."""
     single = x.ndim == 1
@@ -317,6 +328,32 @@ class TestMaxPool:
             x = rng.uniform(-1, 1, (length, channels))
             out = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(x))
             assert np.array_equal(out.data, naive_maxpool(x, pool, stride))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_running_max_matches_window_argmax_oracle(self, batch):
+        rng = np.random.default_rng(22 if batch is None else 23)
+        for _ in range(300):
+            pool = int(rng.integers(1, 5))
+            stride = int(rng.integers(1, 6))
+            length = int(rng.integers(pool, 18))
+            shape = (1 if batch is None else batch, length, int(rng.integers(1, 4)))
+            # few distinct values (signed zeros included) make ties common
+            x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=shape)
+            if rng.random() < 0.5:
+                x[rng.random(shape) < 0.2] = np.nan
+            out_len = (length - pool) // stride + 1
+            g = rng.uniform(-1, 1, (shape[0], out_len, shape[2]))
+            want_out, want_grad = oracle_maxpool(x, g, pool, stride)
+            seq = Tensor(x[0] if batch is None else x, requires_grad=True)
+            with Tape() as tape:
+                out = maxpool1d_forward(MaxPool1D(pool, stride), seq)
+                backward(tape, sum_all(mul(out, Tensor(g[0] if batch is None else g))))
+            if batch is None:
+                want_out, want_grad = want_out[0], want_grad[0]
+            # same bits: NaNs and the sign of zero included
+            assert out.shape == want_out.shape and out.data.tobytes() == want_out.tobytes()
+            assert np.array_equal(out.data, want_out, equal_nan=True)
+            assert np.array_equal(seq.grad, want_grad)
 
     def test_gradient_routes_to_first_argmax_on_ties(self):
         seq = Tensor(np.array([[2.0], [2.0], [1.0], [1.0]]), requires_grad=True)

@@ -62,6 +62,15 @@ class TestSigmoid:
         total = sigmoid(Tensor(x)).data + sigmoid(Tensor(-x)).data
         assert np.all(np.abs(total - 1.0) < 1e-12)
 
+    def test_matches_logaddexp_form(self):
+        # oracle: the earlier exp(-log(1 + e^-x)) evaluation of the same function
+        rng = np.random.default_rng(3)
+        x = np.concatenate([np.linspace(-800.0, 800.0, 16001), rng.normal(0.0, 5.0, 20000), rng.uniform(-40, 40, 20000)])
+        with np.errstate(over="raise"):
+            got = sigmoid(Tensor(x)).data
+        want = np.exp(-np.logaddexp(0.0, -x))
+        assert np.max(np.abs(got - want)) <= 2.3e-16
+
 
 class TestTanh:
     def test_odd_function(self):
@@ -94,6 +103,27 @@ class TestBackward:
             loss = add(x, x)
             backward(tape, loss)
         assert x.grad == np.asarray(2.0)
+
+    def test_intermediate_grads_released_leaf_grads_kept(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        with Tape() as tape:
+            y = mul(x, 3.0)
+            loss = sum_all(mul(y, y))
+            backward(tape, loss)
+        assert y.grad is None
+        assert loss.grad is None
+        assert x.grad.tolist() == [18.0, -36.0, 54.0]
+
+    def test_second_backward_adds_leaf_gradient_once_more(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 0.25, -1.5], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(tanh_op(mul(x, 3.0)), w))
+            backward(tape, loss)
+            first_x, first_w = x.grad.copy(), w.grad.copy()
+            backward(tape, loss)
+        assert np.array_equal(x.grad, 2.0 * first_x)
+        assert np.array_equal(w.grad, 2.0 * first_w)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
