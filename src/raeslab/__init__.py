@@ -17,7 +17,6 @@ from .tensor import (
     mul,
     reshape,
     sigmoid,
-    stack_steps,
     sub,
     sum_all,
     swap_last_axes,
@@ -32,7 +31,6 @@ from .layers import (
     MaxPool1D,
     conv1d_forward,
     gru_forward,
-    gru_step,
     init_params,
     maxpool1d_forward,
     time_distributed_dense,

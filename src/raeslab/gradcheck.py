@@ -20,7 +20,6 @@ from .layers import (
     MaxPool1D,
     conv1d_forward,
     gru_forward,
-    gru_step,
     maxpool1d_forward,
     time_distributed_dense,
 )
@@ -28,13 +27,13 @@ from .optim import mse_loss
 from .tensor import (
     Tape,
     Tensor,
+    add,
     backward,
     matmul,
     mean_all,
     mul,
     reshape,
     sigmoid,
-    stack_steps,
     sub,
     sum_all,
     swap_last_axes,
@@ -104,7 +103,7 @@ def _check_core_ops(rng) -> float:
     def build():
         y = tanh_op(matmul(x, w))
         z = sigmoid(reshape(y, (9,)))
-        s = stack_steps([z, mul(z, z), sub(1.0, z)])
+        s = add(mul(z, z), sub(1.0, z))
         return mean_all(mul(s, s))
 
     return check_gradients(build, [x, w])
@@ -112,39 +111,37 @@ def _check_core_ops(rng) -> float:
 
 def _check_dense(rng) -> float:
     layer = DenseLayer(int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng)
-    steps = [_rand(rng, 2, layer.in_features) for _ in range(int(rng.integers(1, 5)))]
-    r = Tensor(rng.uniform(-1.0, 1.0, size=(2, len(steps), layer.out_features)))
+    seq = _rand(rng, 2, int(rng.integers(1, 5)), layer.in_features)
+    r = Tensor(rng.uniform(-1.0, 1.0, size=seq.shape[:-1] + (layer.out_features,)))
 
     def build():
-        outs = time_distributed_dense(layer, steps)
-        return sum_all(mul(stack_steps(outs), r))
+        return sum_all(mul(time_distributed_dense(layer, seq), r))
 
-    return check_gradients(build, layer.parameters() + steps)
+    return check_gradients(build, layer.parameters() + [seq])
 
 
-def _check_gru_step(rng) -> float:
+def _check_gru_one_step(rng) -> float:
     layer = GRULayer(int(rng.integers(1, 5)), int(rng.integers(1, 7)), rng)
     x = _rand(rng, 2, layer.input_size)
-    h = _rand(rng, 2, layer.hidden_size)
-    r = Tensor(rng.uniform(-1.0, 1.0, size=(2, layer.hidden_size)))
+    h0 = _rand(rng, 2, layer.hidden_size)
+    r = Tensor(rng.uniform(-1.0, 1.0, size=(2, 1, layer.hidden_size)))
 
     def build():
-        return sum_all(mul(gru_step(layer, x, h), r))
+        return sum_all(mul(gru_forward(layer, [x], h0), r))
 
-    return check_gradients(build, layer.parameters() + [x, h])
+    return check_gradients(build, layer.parameters() + [x, h0])
 
 
 def _check_gru_forward(rng) -> float:
     layer = GRULayer(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
     steps = [_rand(rng, layer.input_size) for _ in range(int(rng.integers(1, 8)))]
-    h0 = Tensor(np.zeros(layer.hidden_size))
-    r = Tensor(rng.uniform(-1.0, 1.0, size=(layer.hidden_size, len(steps))))
+    h0 = _rand(rng, layer.hidden_size)
+    r = Tensor(rng.uniform(-1.0, 1.0, size=(len(steps), layer.hidden_size)))
 
     def build():
-        outs, _ = gru_forward(layer, steps, h0)
-        return sum_all(mul(stack_steps(outs), Tensor(r.data.T)))
+        return sum_all(mul(gru_forward(layer, steps, h0), r))
 
-    return check_gradients(build, layer.parameters() + steps)
+    return check_gradients(build, layer.parameters() + steps + [h0])
 
 
 def _check_conv1d(rng) -> float:
@@ -224,7 +221,7 @@ def default_suite(instances: int = 10, seed: int = 2024) -> list[CheckResult]:
     named = [
         ("core-ops", _check_core_ops),
         ("dense-head", _check_dense),
-        ("gru-step", _check_gru_step),
+        ("gru-step", _check_gru_one_step),
         ("gru-sequence", _check_gru_forward),
         ("conv1d", _check_conv1d),
         ("maxpool1d", _check_maxpool),

@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+        if self.time_budget_s is not None and not self.time_budget_s > 0:
+            raise ValueError(f"time_budget_s must be > 0, got {self.time_budget_s}")
         # rejects a bad sigma or size when the config is built, not when it runs
         ContextSpec.autoencoding(self.seq_len, self.n_features, self.sigma)
 
@@ -106,9 +110,10 @@ def evaluate(model: AutoencoderModel, dataset: Dataset, which: str, batch_size: 
     total_sq = 0.0
     total_n = 0
     for xb in batches(dataset, which, batch_size):
-        pred = model.forward(xb)
-        diff = pred.data - xb.data
-        total_sq += float((diff * diff).sum())
+        diff = model.forward(xb).data - xb.data
+        # a diverged model overflows here; train_epoch reports that as an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            total_sq += float((diff * diff).sum())
         total_n += diff.size
     return total_sq / total_n
 
@@ -139,7 +144,9 @@ def train_epoch(
     start = time.perf_counter()
     for bi, xb in enumerate(train_batches):
         with Tape() as tape:
-            loss = mse_loss(model.forward(xb), xb)
+            # overflow shows as a non-finite loss, reported below as one error
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = mse_loss(model.forward(xb), xb)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}, batch {bi}")

@@ -2,14 +2,17 @@
 
 All layers work on single examples (feature vectors, [length, channels]
 sequences) and transparently on batches carrying one extra leading axis.
-Weights are float64 tensors initialized Glorot-uniform; biases start at zero.
+The GRU unrolls a whole list of steps as one tape record and returns the
+states as one [T, hidden] or [B, T, hidden] tensor; the dense head is one
+``linear`` over that tensor. Weights are float64 tensors initialized
+Glorot-uniform; biases start at zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _logistic, accumulate_grad, linear, record_op
+from .tensor import ShapeError, Tensor, _logistic, accumulate_grad, active_tape, linear, record_op
 
 __all__ = [
     "init_params",
@@ -17,7 +20,6 @@ __all__ = [
     "DenseLayer",
     "Conv1DLayer",
     "MaxPool1D",
-    "gru_step",
     "gru_forward",
     "conv1d_forward",
     "maxpool1d_forward",
@@ -129,61 +131,75 @@ class MaxPool1D:
         self.stride = stride
 
 
-def gru_step(layer: GRULayer, x: Tensor, h: Tensor) -> Tensor:
-    """One recurrence step as one tape record; x is [input] or [B, input], h is [hidden] or [B, hidden]."""
-    if x.shape[-1] != layer.input_size:
-        raise ShapeError(f"gru_step input features {x.shape} do not match input_size {layer.input_size}")
-    if h.shape != x.shape[:-1] + (layer.hidden_size,):
-        raise ShapeError(f"gru_step state {h.shape} does not match input {x.shape} and hidden_size {layer.hidden_size}")
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
-    single = x.ndim == 1
-    x2 = x.data[None] if single else x.data
-    h2 = h.data[None] if single else h.data
-    z = _logistic(x2 @ W_z.data.T + h2 @ U_z.data.T + b_z.data)
-    r = _logistic(x2 @ W_r.data.T + h2 @ U_r.data.T + b_r.data)
-    cand = np.tanh(x2 @ W_h.data.T + (r * h2) @ U_h.data.T + b_h.data)
-    out = (1.0 - z) * h2 + z * cand
+def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
+    """Unroll the cell over a list of steps as one tape record.
 
-    def back(g, x=x, h=h, x2=x2, h2=h2, z=z, r=r, cand=cand, single=single):
-        # The expressions, and the order in which terms are added into x, h
-        # and each parameter, are those of the eight per-gate tape records
-        # (the oracle in tests/test_layers.py) replayed in reverse, so every
-        # gradient rounds identically to that composition.
-        g = g[None] if single else g
-        g_c = g * z * (1.0 - cand * cand)
-        g_rh = g_c @ U_h.data
-        g_r = g_rh * h2 * r * (1.0 - r)
-        g_z = g * (cand - h2) * z * (1.0 - z)
-        if h.requires_grad:
-            for term in (g * (1.0 - z), g_rh * r, g_r @ U_r.data, g_z @ U_z.data):
-                accumulate_grad(h, term[0] if single else term)
-        if x.requires_grad:
-            for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
-                accumulate_grad(x, term[0] if single else term)
-        # recomputed, not saved: the tape keeps only z, r and cand per step
-        rh = r * h2
-        for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
-            if w.requires_grad:
-                accumulate_grad(w, gate.T @ x2)
-            if u.requires_grad:
-                accumulate_grad(u, gate.T @ state)
-            if b.requires_grad:
-                accumulate_grad(b, gate.sum(axis=0))
-
-    return record_op("gru_step", out[0] if single else out, (x, h, *params), back)
-
-
-def gru_forward(layer: GRULayer, xs, h0: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Unroll the cell over a step sequence; returns (all states, final state)."""
+    Each step is [input] or [B, input] and h0 is [hidden] or [B, hidden];
+    the states come back as one [T, hidden] or [B, T, hidden] tensor. z, r
+    and the candidate are kept per step only while a tape is open.
+    """
     xs = list(xs)
     if not xs:
         raise ValueError("gru_forward needs at least one input step")
-    outputs = []
-    h = h0
-    for x in xs:
-        h = gru_step(layer, x, h)
-        outputs.append(h)
-    return outputs, h
+    if h0.ndim not in (1, 2) or h0.shape[-1] != layer.hidden_size:
+        raise ShapeError(f"gru_forward state {h0.shape} does not match hidden_size {layer.hidden_size}")
+    step_shape = h0.shape[:-1] + (layer.input_size,)
+    if any(x.shape != step_shape for x in xs):
+        raise ShapeError(f"gru_forward steps must all be {step_shape} for state {h0.shape}")
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
+    single = h0.ndim == 1
+    x2s = [x.data[None] if single else x.data for x in xs]
+    h2 = h_init = h0.data[None] if single else h0.data
+    states = np.empty((h2.shape[0], len(xs), layer.hidden_size))
+    saved = [] if active_tape() is not None else None
+    for t, x2 in enumerate(x2s):
+        z = _logistic(x2 @ W_z.data.T + h2 @ U_z.data.T + b_z.data)
+        r = _logistic(x2 @ W_r.data.T + h2 @ U_r.data.T + b_r.data)
+        cand = np.tanh(x2 @ W_h.data.T + (r * h2) @ U_h.data.T + b_h.data)
+        h2 = (1.0 - z) * h2 + z * cand
+        states[:, t] = h2
+        if saved is not None:
+            saved.append((z, r, cand))
+
+    def back(g, xs=xs, x2s=x2s, h0=h0, h_init=h_init, states=states, saved=saved, single=single):
+        # Per step, the expressions and the order in which terms are added
+        # into x, the previous state and each parameter are those of the
+        # per-gate composition (the oracle in tests/test_layers.py) replayed
+        # in reverse, so every gradient rounds identically to it. A state's
+        # gradient is its head gradient plus the next step's four terms.
+        g = g[None] if single else g
+        dh = g[:, -1].copy()
+        for t in range(len(xs) - 1, -1, -1):
+            x, x2, (z, r, cand) = xs[t], x2s[t], saved[t]
+            # a contiguous copy: the strided view slows the GEMMs and products below
+            h2 = states[:, t - 1].copy() if t else h_init
+            g_c = dh * z * (1.0 - cand * cand)
+            g_rh = g_c @ U_h.data
+            g_r = g_rh * h2 * r * (1.0 - r)
+            g_z = dh * (cand - h2) * z * (1.0 - z)
+            if t or h0.requires_grad:
+                terms = (dh * (1.0 - z), g_rh * r, g_r @ U_r.data, g_z @ U_z.data)
+                if t:
+                    dh = g[:, t - 1].copy()
+                    for term in terms:
+                        dh += term
+                else:
+                    for term in terms:
+                        accumulate_grad(h0, term[0] if single else term)
+            if x.requires_grad:
+                for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
+                    accumulate_grad(x, term[0] if single else term)
+            # recomputed, not saved: the tape keeps only z, r and cand per step
+            rh = r * h2
+            for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
+                if w.requires_grad:
+                    accumulate_grad(w, gate.T @ x2)
+                if u.requires_grad:
+                    accumulate_grad(u, gate.T @ state)
+                if b.requires_grad:
+                    accumulate_grad(b, gate.sum(axis=0))
+
+    return record_op("gru_forward", states[0] if single else states, (*xs, h0, *params), back)
 
 
 def _promote_seq(seq: Tensor, op: str) -> tuple[np.ndarray, bool]:
@@ -267,6 +283,6 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     return record_op("maxpool1d", out[0] if squeeze else out, (seq,), back)
 
 
-def time_distributed_dense(layer: DenseLayer, seq) -> list[Tensor]:
-    """Apply one shared affine layer independently at every time step."""
-    return [linear(x, layer.W, layer.b) for x in seq]
+def time_distributed_dense(layer: DenseLayer, seq: Tensor) -> Tensor:
+    """Apply one shared affine layer at every step of a [..., T, in] sequence, as one ``linear``."""
+    return linear(seq, layer.W, layer.b)

@@ -38,8 +38,8 @@ from .tensor import (
     Tensor,
     matmul,
     reshape,
-    stack_steps,
     swap_last_axes,
+    take_step,
     unstack_steps,
 )
 
@@ -310,17 +310,14 @@ def encode_context(model: AutoencoderModel, x: Tensor) -> Tensor:
             f"input {x.shape} does not match [seq_len={model.context.seq_len}, "
             f"n_features={model.context.n_features}] (optionally batched)"
         )
-    steps = unstack_steps(x)
     h0 = _zeros_like_state(x, model.encoder.hidden_size)
-    _, context = gru_forward(model.encoder, steps, h0)
-    return context
+    return take_step(gru_forward(model.encoder, unstack_steps(x), h0), -1)
 
 
 def decode_steps(model: AutoencoderModel, steps, like: Tensor) -> Tensor:
-    """Run the decoder from a zero state and stack the per-step head outputs."""
+    """Run the decoder from a zero state and apply the head at every step."""
     h0 = _zeros_like_state(like, model.decoder.hidden_size)
-    outputs, _ = gru_forward(model.decoder, steps, h0)
-    return stack_steps(time_distributed_dense(model.head, outputs))
+    return time_distributed_dense(model.head, gru_forward(model.decoder, steps, h0))
 
 
 def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor]:

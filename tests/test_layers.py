@@ -11,7 +11,6 @@ from raeslab.layers import (
     MaxPool1D,
     conv1d_forward,
     gru_forward,
-    gru_step,
     init_params,
     maxpool1d_forward,
     time_distributed_dense,
@@ -22,13 +21,14 @@ from raeslab.tensor import (
     Tensor,
     accumulate_grad,
     backward,
+    linear,
     mul,
     record_op,
     sigmoid,
-    stack_steps,
     sum_all,
     swap_last_axes,
     tanh_op,
+    unstack_steps,
     zero_grads,
 )
 
@@ -120,6 +120,19 @@ def oracle_gru_step(layer, x, h):
     return oracle_gate_blend(z, h, cand)
 
 
+def oracle_stack_steps(steps):
+    """Per-step states [B, H] stacked to [B, T, H] as one tape record."""
+    axis = steps[0].ndim - 1
+    out = np.stack([s.data for s in steps], axis=axis)
+
+    def back(g):
+        for i, s in enumerate(steps):
+            if s.requires_grad:
+                accumulate_grad(s, np.take(g, i, axis=axis))
+
+    return record_op("stack_steps", out, tuple(steps), back)
+
+
 def zeroed_gru(input_size, hidden_size):
     layer = GRULayer(input_size, hidden_size, np.random.default_rng(0))
     for p in layer.parameters():
@@ -128,32 +141,36 @@ def zeroed_gru(input_size, hidden_size):
 
 
 class TestGRUStep:
+    """gru_forward over a single step is the GRU cell."""
+
     def test_zero_params_zero_state(self):
         layer = zeroed_gru(3, 4)
-        out = gru_step(layer, Tensor([1.0, -2.0, 0.5]), Tensor(np.zeros(4)))
-        assert np.array_equal(out.data, np.zeros(4))
+        out = gru_forward(layer, [Tensor([1.0, -2.0, 0.5])], Tensor(np.zeros(4)))
+        assert np.array_equal(out.data, np.zeros((1, 4)))
 
     def test_zero_params_halves_state(self):
         layer = zeroed_gru(2, 3)
         v = np.array([0.4, -1.2, 2.0])
-        out = gru_step(layer, Tensor([1.0, 1.0]), Tensor(v))
-        assert np.allclose(out.data, 0.5 * v, atol=1e-15)
+        out = gru_forward(layer, [Tensor([1.0, 1.0])], Tensor(v))
+        assert np.allclose(out.data[0], 0.5 * v, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_convex_combination_bound(self, seed):
         rng = np.random.default_rng(seed)
         layer = GRULayer(3, 5, rng)
         h = Tensor(rng.uniform(-2.0, 2.0, 5))
-        out = gru_step(layer, Tensor(rng.uniform(-1.0, 1.0, 3)), h)
+        out = gru_forward(layer, [Tensor(rng.uniform(-1.0, 1.0, 3))], h)
         bound = np.maximum(np.abs(h.data), 1.0)
-        assert np.all(np.abs(out.data) <= bound)
+        assert np.all(np.abs(out.data[0]) <= bound)
 
     def test_shape_mismatch(self):
         layer = zeroed_gru(3, 4)
         with pytest.raises(ShapeError):
-            gru_step(layer, Tensor([1.0, 2.0]), Tensor(np.zeros(4)))
+            gru_forward(layer, [Tensor([1.0, 2.0])], Tensor(np.zeros(4)))
         with pytest.raises(ShapeError):
-            gru_step(layer, Tensor([1.0, 2.0, 3.0]), Tensor(np.zeros(5)))
+            gru_forward(layer, [Tensor([1.0, 2.0, 3.0])], Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):
+            gru_forward(layer, [Tensor(np.zeros((2, 3)))], Tensor(np.zeros((3, 4))))
 
 
 class TestGRUForward:
@@ -162,36 +179,35 @@ class TestGRUForward:
         layer = GRULayer(2, 3, rng)
         x = Tensor(rng.uniform(-1, 1, 2))
         h0 = Tensor(rng.uniform(-1, 1, 3))
-        outputs, final = gru_forward(layer, [x], h0)
-        assert len(outputs) == 1
-        assert np.array_equal(final.data, gru_step(layer, x, h0).data)
+        states = gru_forward(layer, [x], h0)
+        assert states.shape == (1, 3)
+        assert np.array_equal(states.data[0], oracle_gru_step(layer, x, h0).data)
 
     def test_zero_params_zero_outputs(self):
         layer = zeroed_gru(1, 4)
         xs = [Tensor([float(i)]) for i in range(5)]
-        outputs, final = gru_forward(layer, xs, Tensor(np.zeros(4)))
-        assert all(np.array_equal(o.data, np.zeros(4)) for o in outputs)
-        assert np.array_equal(final.data, np.zeros(4))
+        states = gru_forward(layer, xs, Tensor(np.zeros(4)))
+        assert np.array_equal(states.data, np.zeros((5, 4)))
 
     def test_output_length_matches_input(self):
         rng = np.random.default_rng(2)
         layer = GRULayer(2, 3, rng)
         for n in (1, 4, 9):
             xs = [Tensor(rng.uniform(-1, 1, 2)) for _ in range(n)]
-            outputs, _ = gru_forward(layer, xs, Tensor(np.zeros(3)))
-            assert len(outputs) == n
+            assert gru_forward(layer, xs, Tensor(np.zeros(3))).shape == (n, 3)
+            batched = [Tensor(rng.uniform(-1, 1, (5, 2))) for _ in range(n)]
+            assert gru_forward(layer, batched, Tensor(np.zeros((5, 3)))).shape == (5, n, 3)
 
     def test_matches_manual_step_composition_bit_exactly(self):
         rng = np.random.default_rng(3)
         layer = GRULayer(3, 4, rng)
         xs = [Tensor(rng.uniform(-1, 1, 3)) for _ in range(6)]
         h0 = Tensor(rng.uniform(-1, 1, 4))
-        outputs, final = gru_forward(layer, xs, h0)
+        states = gru_forward(layer, xs, h0)
         h = h0
-        for x, o in zip(xs, outputs):
-            h = gru_step(layer, x, h)
-            assert np.array_equal(o.data, h.data)
-        assert np.array_equal(final.data, h.data)
+        for x, state in zip(xs, states.data):
+            h = Tensor(gru_forward(layer, [x], h).data[0])
+            assert np.array_equal(state, h.data)
 
     def test_empty_sequence_rejected(self):
         layer = zeroed_gru(1, 1)
@@ -200,56 +216,56 @@ class TestGRUForward:
 
 
 class TestGRUStepOracle:
-    """The one-record step against the per-gate composition: same bits forward and backward."""
+    """The one-record kernel against the per-gate composition: same bits forward and backward."""
 
     @staticmethod
-    def unroll(step, layer, xs, h0, proj):
+    def unroll(kernel, layer, xs, h0, proj):
         inputs = list({id(t): t for t in [*xs, h0]}.values())
         tensors = layer.parameters() + inputs
         zero_grads(tensors)
         with Tape() as tape:
-            if step is gru_forward:
-                outs, _ = gru_forward(layer, xs, h0)
+            if kernel:
+                states = gru_forward(layer, xs, h0)
             else:
                 h, outs = h0, []
                 for x in xs:
-                    h = step(layer, x, h)
+                    h = oracle_gru_step(layer, x, h)
                     outs.append(h)
-            backward(tape, sum_all(mul(stack_steps(outs), proj)))
-        return [o.data for o in outs], [t.grad for t in tensors]
+                states = oracle_stack_steps(outs)
+            backward(tape, sum_all(mul(states, proj)))
+        return states.data, [t.grad for t in tensors]
 
     @pytest.mark.parametrize("batch", [None, 4])
     @pytest.mark.parametrize("h_requires_grad", [True, False])
     @pytest.mark.parametrize("shared_x", [False, True])
-    @pytest.mark.parametrize("fused", [gru_step, gru_forward])
-    def test_bit_identical_to_per_gate_ops(self, batch, h_requires_grad, shared_x, fused):
+    # one step is the GRU cell itself; six steps unroll a sequence
+    @pytest.mark.parametrize("n_steps", [1, 6], ids=["gru_step", "gru_forward"])
+    def test_bit_identical_to_per_gate_ops(self, batch, h_requires_grad, shared_x, n_steps):
         rng = np.random.default_rng(50)
         layer = GRULayer(5, 7, rng)
         for p in layer.parameters():
             p.data[:] = rng.uniform(-1.5, 1.5, p.shape)
         lead = () if batch is None else (batch,)
-        n_steps = 1 if fused is gru_step else 6
         if shared_x:
             xs = [Tensor(rng.uniform(-2, 2, lead + (5,)), requires_grad=True)] * n_steps
         else:
             xs = [Tensor(rng.uniform(-2, 2, lead + (5,)), requires_grad=True) for _ in range(n_steps)]
         h0 = Tensor(rng.uniform(-1, 1, lead + (7,)), requires_grad=h_requires_grad)
         proj = Tensor(rng.uniform(-1, 1, lead + (n_steps, 7)))
-        outs, grads = self.unroll(fused, layer, xs, h0, proj)
-        want_outs, want_grads = self.unroll(oracle_gru_step, layer, xs, h0, proj)
-        for got, want in zip(outs, want_outs):
-            assert np.array_equal(got, want)
+        states, grads = self.unroll(True, layer, xs, h0, proj)
+        want_states, want_grads = self.unroll(False, layer, xs, h0, proj)
+        assert np.array_equal(states, want_states)
         assert (grads[-1] is None) == (not h_requires_grad)
         for got, want in zip(grads, want_grads):
             assert (got is None and want is None) or np.array_equal(got, want)
 
-    def test_one_tape_record_per_step(self):
+    def test_one_tape_record_per_layer(self):
         rng = np.random.default_rng(51)
         layer = GRULayer(2, 3, rng)
         x = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
         with Tape() as tape:
             gru_forward(layer, [x] * 5, Tensor(np.zeros((4, 3))))
-        assert tape.op_names() == ["gru_step"] * 5
+        assert tape.op_names() == ["gru_forward"]
 
 
 class TestConv1D:
@@ -393,29 +409,47 @@ class TestTimeDistributedDense:
         layer = DenseLayer(3, 3, np.random.default_rng(0))
         layer.W.data[:] = np.eye(3)
         layer.b.data[:] = 0.0
-        steps = [Tensor([1.0, 2.0, 3.0]), Tensor([-1.0, 0.0, 1.0])]
-        outs = time_distributed_dense(layer, steps)
-        for s, o in zip(steps, outs):
-            assert np.array_equal(o.data, s.data)
+        seq = Tensor([[1.0, 2.0, 3.0], [-1.0, 0.0, 1.0]])
+        assert np.array_equal(time_distributed_dense(layer, seq).data, seq.data)
 
     def test_zero_weights_constant_bias(self):
         layer = DenseLayer(2, 2, np.random.default_rng(0))
         layer.W.data[:] = 0.0
         layer.b.data[:] = [3.0, -1.0]
-        outs = time_distributed_dense(layer, [Tensor([5.0, 5.0])] * 4)
-        for o in outs:
-            assert o.data.tolist() == [3.0, -1.0]
+        out = time_distributed_dense(layer, Tensor(np.full((3, 4, 2), 5.0)))
+        assert out.shape == (3, 4, 2)
+        assert np.array_equal(out.data, np.broadcast_to([3.0, -1.0], (3, 4, 2)))
 
     def test_shared_weight_gradient_accumulates_over_steps(self):
         rng = np.random.default_rng(6)
         layer = DenseLayer(3, 2, rng)
-        steps = [Tensor(rng.uniform(-1, 1, 3), requires_grad=True) for _ in range(4)]
-        proj = Tensor(rng.uniform(-1, 1, (4, 2)))
+        seq = Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, (2, 4, 2)))
 
         def build():
-            return sum_all(mul(stack_steps(time_distributed_dense(layer, steps)), proj))
+            return sum_all(mul(time_distributed_dense(layer, seq), proj))
 
-        assert check_gradients(build, layer.parameters() + steps) < 1e-4
+        assert check_gradients(build, layer.parameters() + [seq]) < 1e-4
+
+    def test_matches_per_step_linear(self):
+        rng = np.random.default_rng(7)
+        layer = DenseLayer(6, 3, rng)
+        layer.b.data[:] = rng.uniform(-1, 1, 3)
+        seq = Tensor(rng.uniform(-1, 1, (5, 8, 6)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, (5, 8, 3)))
+        grads = []
+        for one_record in (True, False):
+            zero_grads(layer.parameters() + [seq])
+            with Tape() as tape:
+                if one_record:
+                    out = time_distributed_dense(layer, seq)
+                else:
+                    steps = [linear(s, layer.W, layer.b) for s in unstack_steps(seq)]
+                    out = oracle_stack_steps(steps)
+                backward(tape, sum_all(mul(out, proj)))
+            grads.append([out.data] + [t.grad for t in layer.parameters() + [seq]])
+        for got, want in zip(*grads):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 class TestInitParams:
@@ -451,8 +485,7 @@ class TestLayerGradients:
         proj = Tensor(rng.uniform(-1, 1, (3, 1)))
 
         def build():
-            outs, _ = gru_forward(layer, xs, Tensor(np.zeros(1)))
-            return sum_all(mul(stack_steps(outs), proj))
+            return sum_all(mul(gru_forward(layer, xs, Tensor(np.zeros(1))), proj))
 
         assert check_gradients(build, layer.parameters()) < 1e-4
 

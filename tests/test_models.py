@@ -237,6 +237,30 @@ class TestForwards:
             assert check_gradients(build, model.parameters()) < 1e-4
 
 
+class TestTapeRecords:
+    """One training batch's tape: one record per GRU layer and one for the head."""
+
+    @staticmethod
+    def op_names(kind, seq_len, sigma, **kw):
+        model, spec = build_model(kind, seq_len=seq_len, sigma=sigma, **kw)
+        x = Tensor(np.random.default_rng(11).uniform(-1, 1, (3, seq_len, 1)))
+        with Tape() as tape:
+            mse_loss(model.forward(x), x)
+        return tape.op_names()
+
+    def test_ops_per_variant(self):
+        head = ["gru_forward", "linear", "sub", "mul", "mean_all"]
+        assert self.op_names(RAE, 8, 1.0) == ["gru_forward", "step"] + head
+        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "step", "reshape"] + ["step"] * 8 + head
+        raesc = ["gru_forward", "step", "reshape", "conv1d", "maxpool1d", "swap_last_axes"] + ["step"] * 8 + head
+        assert self.op_names(RAESC, 8, 1.0, kernel_size=2, pool_size=2) == raesc
+        stretch = ["gru_forward", "step", "matmul", "reshape"] + ["step"] * 8 + head
+        assert self.op_names(RAES_STRETCH, 8, 0.5) == stretch
+
+    def test_rae_record_count_independent_of_length(self):
+        assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 7
+
+
 class TestModelStructure:
     def test_encoder_hidden_is_context_size(self):
         model, spec = build_model(RAE, seq_len=6, sigma=1.5)
