@@ -9,6 +9,7 @@ from pathlib import Path
 from .gradcheck import default_suite
 from .harness import (
     ExperimentConfig,
+    cell_tag,
     format_summary_table,
     median_epoch_time,
     run_experiment,
@@ -108,6 +109,10 @@ def _cmd_grid(args) -> int:
     sigmas = [float(x) for x in args.sigmas.split(",") if x.strip()]
     # every cell's config is built, and so checked, before the first one trains
     cells = [_experiment_config(args, variants, nf, sigma, None) for nf in features for sigma in sigmas]
+    tags = [cell_tag(cfg.n_features, cfg.sigma) for cfg in cells]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ValueError(f"grid lists cell {tag} twice; its CSV files would collide")
     all_results = []
     for cfg in cells:
         cell = run_experiment(cfg)

@@ -40,10 +40,10 @@ __all__ = [
     "write_report",
     "read_records_csv",
     "records_csv_name",
+    "cell_tag",
 ]
 
 RECORD_FIELDS = ("epoch", "epoch_wall_time_s", "cumulative_time_s", "train_mse", "val_mse")
-TIMING_FIELDS = ("epoch_wall_time_s", "cumulative_time_s", "median_epoch_time_s")
 
 
 @dataclass
@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if self.time_budget_s is not None and not self.time_budget_s > 0:
             raise ValueError(f"time_budget_s must be > 0, got {self.time_budget_s}")
+        kinds = [v.kind for v in self.variants]
+        if len(set(kinds)) < len(kinds):
+            raise ValueError(f"variants {','.join(kinds)} list one kind twice; its runs would share one CSV file")
         # rejects a bad sigma or size when the config is built, not when it runs
         ContextSpec.autoencoding(self.seq_len, self.n_features, self.sigma)
 
@@ -212,12 +215,13 @@ def median_epoch_time(records: list[EpochRecord]) -> float:
     return float(statistics.median(r.epoch_wall_time_s for r in records))
 
 
-def _sigma_tag(sigma: float) -> str:
-    return format(sigma * 100.0, "g")
+def cell_tag(n_features: int, sigma: float) -> str:
+    """The (features, sigma) part of a cell's CSV names, sigma as a percent to 6 significant digits."""
+    return f"f{n_features}_s{format(sigma * 100.0, 'g')}"
 
 
 def records_csv_name(result: VariantResult) -> str:
-    return f"f{result.context.n_features}_s{_sigma_tag(result.context.sigma)}_{result.variant.kind}.csv"
+    return f"{cell_tag(result.context.n_features, result.context.sigma)}_{result.variant.kind}.csv"
 
 
 def _fmt(x: float) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _logistic, accumulate_grad, active_tape, linear, record_op
+from .tensor import ShapeError, Tensor, _logistic, _record, accumulate_grad, active_tape, linear, record_op
 
 __all__ = [
     "init_params",
@@ -271,16 +271,14 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
         out = np.where(take, cand, out)
         argmax = np.where(take, k, argmax)
 
-    def back(g, seq=seq, x3=x3, squeeze=squeeze, argmax=argmax, s=s):
-        if not seq.requires_grad:
-            return
+    def grad_seq(g):
         gx = np.zeros_like(x3)
         # np.add.at adds in (b, j, c) order, so overlapping windows sum in j order
         b, j, c = np.ogrid[: argmax.shape[0], : argmax.shape[1], : argmax.shape[2]]
         np.add.at(gx, (b, j * s + argmax, c), g[None] if squeeze else g)
-        accumulate_grad(seq, gx[0] if squeeze else gx)
+        return gx[0] if squeeze else gx
 
-    return record_op("maxpool1d", out[0] if squeeze else out, (seq,), back)
+    return _record("maxpool1d", out[0] if squeeze else out, (seq, grad_seq))
 
 
 def time_distributed_dense(layer: DenseLayer, seq: Tensor) -> Tensor:

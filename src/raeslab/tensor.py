@@ -7,6 +7,10 @@ live in row-major (C-contiguous) numpy float64 arrays; gradients are arrays
 of the same shape, allocated lazily during the backward pass and accumulated
 additively across fan-out. An op output's gradient is released once its
 record has replayed; leaves keep theirs.
+
+An op whose backward adds one independent term into each input records
+through the private ``_record``; one with any other backward (the scatter of
+``take_step``, a fused recurrent kernel) passes its own closure to ``record_op``.
 """
 
 from __future__ import annotations
@@ -141,7 +145,9 @@ def record_op(name: str, data: np.ndarray, inputs: tuple[Tensor, ...], backward_
 
     ``backward_fn`` receives the output gradient and must accumulate into each
     input that has ``requires_grad``. Nothing is recorded in evaluation mode
-    (no open tape) or when no input tracks gradients.
+    (no open tape) or when no input tracks gradients. Call it directly only
+    when the backward is not one independent term per input (a scatter into
+    part of an input, a fused kernel); otherwise use ``_record``.
     """
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -179,121 +185,64 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _record(name: str, data: np.ndarray, *terms) -> Tensor:
+    """Record an op from ``(input, grad_fn)`` pairs: its backward adds
+    ``grad_fn(g)`` into each input that has ``requires_grad``, in the order given."""
+
+    def back(g):
+        for t, grad_fn in terms:
+            if t.requires_grad:
+                accumulate_grad(t, grad_fn(g))
+
+    return record_op(name, data, tuple([t for t, _ in terms]), back)
+
+
 # ---------------------------------------------------------------------------
 # elementwise and arithmetic ops
 
 
+def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a Python int or float becomes a 0-d constant."""
+    if isinstance(b, (int, float)):
+        return _as_tensor(a), Tensor(float(b))
+    if isinstance(a, (int, float)):
+        return Tensor(float(a)), _as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _identity(g):
+    return g
+
+
 def add(a, b) -> Tensor:
     """Elementwise sum; either operand may be a scalar."""
-    if isinstance(b, (int, float)):
-        a = _as_tensor(a)
-        out = a.data + float(b)
-
-        def back(g, a=a):
-            if a.requires_grad:
-                accumulate_grad(a, g)
-
-        return record_op("add", out, (a,), back)
-    if isinstance(a, (int, float)):
-        return add(b, a)
-
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data + b.data
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            accumulate_grad(a, g)
-        if b.requires_grad:
-            accumulate_grad(b, g)
-
-    return record_op("add", out, (a, b), back)
+    a, b = _operands("add", a, b)
+    return _record("add", a.data + b.data, (a, _identity), (b, _identity))
 
 
 def sub(a, b) -> Tensor:
     """Elementwise difference; either operand may be a scalar."""
-    if isinstance(b, (int, float)):
-        a = _as_tensor(a)
-        out = a.data - float(b)
-
-        def back(g, a=a):
-            if a.requires_grad:
-                accumulate_grad(a, g)
-
-        return record_op("sub", out, (a,), back)
-    if isinstance(a, (int, float)):
-        b = _as_tensor(b)
-        out = float(a) - b.data
-
-        def back(g, b=b):
-            if b.requires_grad:
-                accumulate_grad(b, -g)
-
-        return record_op("sub", out, (b,), back)
-
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data - b.data
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            accumulate_grad(a, g)
-        if b.requires_grad:
-            accumulate_grad(b, -g)
-
-    return record_op("sub", out, (a, b), back)
+    a, b = _operands("sub", a, b)
+    return _record("sub", a.data - b.data, (a, _identity), (b, np.negative))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product; either operand may be a scalar."""
-    if isinstance(b, (int, float)):
-        a = _as_tensor(a)
-        out = a.data * float(b)
-
-        def back(g, a=a, c=float(b)):
-            if a.requires_grad:
-                accumulate_grad(a, g * c)
-
-        return record_op("mul", out, (a,), back)
-    if isinstance(a, (int, float)):
-        return mul(b, a)
-
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data * b.data
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            accumulate_grad(a, g * b.data)
-        if b.requires_grad:
-            accumulate_grad(b, g * a.data)
-
-    return record_op("mul", out, (a, b), back)
+    a, b = _operands("mul", a, b)
+    return _record("mul", a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            accumulate_grad(a, g @ b.data.T)
-        if b.requires_grad:
-            accumulate_grad(b, a.data.T @ g)
-
-    return record_op("matmul", out, (a, b), back)
+    return _record("matmul", a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -309,21 +258,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear input {x.shape} does not match weight {w.shape}")
     if b.shape != (w.shape[0],):
         raise ShapeError(f"linear bias {b.shape} does not match weight {w.shape}")
+    n_out, n_in = w.shape
     # numpy's matmul runs one GEMM per leading index. A single [B*T, in] GEMM
     # is large enough for OpenBLAS to split over its threads, which touches
     # their buffers: +1.3 MB peak RSS on a 50-wide head on 2 vCPUs.
-    out = x.data @ w.data.T + b.data
-
-    def back(g, x=x, w=w, b=b):
-        if x.requires_grad:
-            accumulate_grad(x, g @ w.data)
-        g2 = g.reshape(-1, w.shape[0])
-        if w.requires_grad:
-            accumulate_grad(w, g2.T @ x.data.reshape(-1, w.shape[1]))
-        if b.requires_grad:
-            accumulate_grad(b, g2.sum(axis=0))
-
-    return record_op("linear", out, (x, w, b), back)
+    return _record(
+        "linear",
+        x.data @ w.data.T + b.data,
+        (x, lambda g: g @ w.data),
+        (w, lambda g: g.reshape(-1, n_out).T @ x.data.reshape(-1, n_in)),
+        (b, lambda g: g.reshape(-1, n_out).sum(axis=0)),
+    )
 
 
 def _logistic(a: np.ndarray) -> np.ndarray:
@@ -337,25 +282,15 @@ def _logistic(a: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function, computed without overflow on either tail."""
     a = _as_tensor(a)
-    out = _logistic(a.data)
-
-    def back(g, a=a, s=out):
-        if a.requires_grad:
-            accumulate_grad(a, g * s * (1.0 - s))
-
-    return record_op("sigmoid", out, (a,), back)
+    s = _logistic(a.data)
+    return _record("sigmoid", s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def tanh_op(a: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent."""
     a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def back(g, a=a, t=out):
-        if a.requires_grad:
-            accumulate_grad(a, g * (1.0 - t * t))
-
-    return record_op("tanh", out, (a,), back)
+    t = np.tanh(a.data)
+    return _record("tanh", t, (a, lambda g: g * (1.0 - t * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +303,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    out = a.data.reshape(shape)
-
-    def back(g, a=a):
-        if a.requires_grad:
-            accumulate_grad(a, g.reshape(a.shape))
-
-    return record_op("reshape", out, (a,), back)
+    return _record("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def swap_last_axes(a: Tensor) -> Tensor:
@@ -382,37 +311,19 @@ def swap_last_axes(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"swap_last_axes needs at least 2 axes, got shape {a.shape}")
-    out = a.data.swapaxes(-1, -2)
-
-    def back(g, a=a):
-        if a.requires_grad:
-            accumulate_grad(a, g.swapaxes(-1, -2))
-
-    return record_op("swap_last_axes", out, (a,), back)
+    return _record("swap_last_axes", a.data.swapaxes(-1, -2), (a, lambda g: g.swapaxes(-1, -2)))
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
-    out = np.asarray(a.data.sum())
-
-    def back(g, a=a):
-        if a.requires_grad:
-            accumulate_grad(a, np.broadcast_to(g, a.shape))
-
-    return record_op("sum_all", out, (a,), back)
+    return _record("sum_all", np.asarray(a.data.sum()), (a, lambda g: np.broadcast_to(g, a.shape)))
 
 
 def mean_all(a: Tensor) -> Tensor:
     """Mean of all elements, as a scalar tensor."""
     a = _as_tensor(a)
-    out = np.asarray(a.data.mean())
-
-    def back(g, a=a, n=a.size):
-        if a.requires_grad:
-            accumulate_grad(a, np.broadcast_to(g / n, a.shape))
-
-    return record_op("mean_all", out, (a,), back)
+    return _record("mean_all", np.asarray(a.data.mean()), (a, lambda g: np.broadcast_to(g / a.size, a.shape)))
 
 
 def take_step(t: Tensor, i: int) -> Tensor:

@@ -69,7 +69,7 @@ class TestRun:
         "flag,value",
         [
             ("--epochs", "0"), ("--sigma", "-1"), ("--pool-stride", "0"), ("--n-sequences", "1"), ("--model", "vae"),
-            ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--time-budget-s", "-5"),
+            ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--time-budget-s", "-5"), ("--model", "rae,rae"),
         ],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, flag, value):
@@ -121,6 +121,27 @@ class TestGrid:
         proc = raes_lab(
             "grid", "--features", "1", "--sigmas", "1.0,-1", "--models", "rae",
             "--seq-len", "8", "--epochs", "1", "--n-sequences", "10", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("raes-lab: error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "features=" not in proc.stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "features,sigmas,models",
+        [
+            ("1", "1.0,1.0", "rae"),
+            ("1,1", "1.0", "rae"),
+            ("1", "0.1234567,0.1234568", "rae"),  # both tag as s12.3457
+            ("1", "1.0", "rae,rae"),
+        ],
+    )
+    def test_duplicate_cell_fails_before_any_training(self, tmp_path, features, sigmas, models):
+        out = tmp_path / "grid"
+        proc = raes_lab(
+            "grid", "--features", features, "--sigmas", sigmas, "--models", models,
+            "--seq-len", "8", "--epochs", "1", "--n-sequences", "20", "--out", str(out),
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("raes-lab: error: ")

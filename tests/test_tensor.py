@@ -82,6 +82,98 @@ class TestTanh:
         assert abs(tanh_op(Tensor([40.0])).data[0] - 1.0) < 1e-12
 
 
+# Output and operand gradients of add/sub/mul as numpy expressions, for an
+# upstream gradient g: the closures each op recorded before the ops shared
+# one recording helper.
+BINARY_ORACLES = {
+    "add": (add, lambda a, b: a + b, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (sub, lambda a, b: a - b, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (mul, lambda a, b: a * b, lambda g, a, b: g * b, lambda g, a, b: g * a),
+}
+
+
+def _loss_with_upstream(out, g):
+    """A scalar loss whose gradient with respect to ``out`` is exactly ``g``."""
+    return sum_all(mul(out, Tensor(g)))
+
+
+class TestBinaryOpContract:
+    """add, sub and mul: scalar operands, aliasing, shape errors, no-grad inputs."""
+
+    @pytest.mark.parametrize("op", sorted(BINARY_ORACLES))
+    def test_tensor_tensor(self, op):
+        fn, value, grad_a, grad_b = BINARY_ORACLES[op]
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+        b = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+        g = rng.uniform(-1, 1, (3, 4))
+        with Tape() as tape:
+            out = fn(a, b)
+            backward(tape, _loss_with_upstream(out, g))
+        assert tape.op_names() == [op, "mul", "sum_all"]
+        assert np.array_equal(out.data, value(a.data, b.data))
+        assert np.array_equal(a.grad, grad_a(g, a.data, b.data))
+        assert np.array_equal(b.grad, grad_b(g, a.data, b.data))
+
+    @pytest.mark.parametrize("scalar", [3, -0.37])
+    @pytest.mark.parametrize("op", sorted(BINARY_ORACLES))
+    def test_tensor_scalar_and_scalar_tensor(self, op, scalar):
+        fn, value, grad_a, grad_b = BINARY_ORACLES[op]
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.uniform(-2, 2, (2, 5)), requires_grad=True)
+        g = rng.uniform(-1, 1, (2, 5))
+        c = float(scalar)
+
+        with Tape() as tape:
+            out = fn(x, scalar)
+            backward(tape, _loss_with_upstream(out, g))
+        assert tape.op_names() == [op, "mul", "sum_all"]
+        assert np.array_equal(out.data, value(x.data, c))
+        assert np.array_equal(x.grad, grad_a(g, x.data, c))
+
+        x.grad = None
+        with Tape() as tape:
+            out = fn(scalar, x)
+            backward(tape, _loss_with_upstream(out, g))
+        assert tape.op_names() == [op, "mul", "sum_all"]
+        assert np.array_equal(out.data, value(c, x.data))
+        assert np.array_equal(x.grad, grad_b(g, c, x.data))
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_aliased_operands_add_both_terms(self, op):
+        fn, value, grad_a, grad_b = BINARY_ORACLES[op]
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
+        g = rng.uniform(-1, 1, (4, 3))
+        with Tape() as tape:
+            out = fn(x, x)
+            backward(tape, _loss_with_upstream(out, g))
+        assert np.array_equal(out.data, value(x.data, x.data))
+        expected = grad_a(g, x.data, x.data).copy()
+        expected += grad_b(g, x.data, x.data)
+        assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("op", sorted(BINARY_ORACLES))
+    def test_shape_mismatch_names_both_shapes(self, op):
+        fn = BINARY_ORACLES[op][0]
+        with pytest.raises(ShapeError, match=rf"^{op} shape mismatch: \(2, 3\) vs \(3, 2\)$"):
+            fn(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        # only Python numbers act as scalars; a 0-d tensor is not broadcast
+        with pytest.raises(ShapeError, match=r"\(\) vs \(2, 3\)"):
+            fn(Tensor(1.0), Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("op", sorted(BINARY_ORACLES))
+    def test_no_grad_operands_record_nothing(self, op):
+        fn, value = BINARY_ORACLES[op][:2]
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = Tensor(np.full((2, 3), 0.5))
+        with Tape() as tape:
+            outs = [fn(a, b), fn(a, 2), fn(1.5, b)]
+        assert len(tape) == 0
+        assert not any(o.requires_grad for o in outs)
+        assert np.array_equal(outs[0].data, value(a.data, b.data))
+
+
 class TestBackward:
     def test_identity_base_case(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)
