@@ -10,6 +10,9 @@ Each strategy then builds the decoder's input sequence from that flat vector:
                 filter's response to one step (no divisibility constraint)
   raes-stretch  linearly interpolate it up to one value per step
 
+Everything takes batches, so one context or sequence goes in as a batch of
+one: [1, context_size] and [1, seq_len, n_features].
+
 Run with:  python3 demos/02_context_decoding_strategies.py
 """
 
@@ -27,10 +30,10 @@ from raeslab import (
 )
 from raeslab.models import decoder_input_steps, encode_context, infeasibility_reason
 
-# The context transforms on a small hand-made vector first.
-context = Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-print("context:", context.data)
-print("raes reshape to 3 steps (2 features each):\n", transform_context(context, 3).data)
+# The context transforms on a small hand-made vector first, as a batch of one.
+context = Tensor(np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]))
+print("context:", context.data[0])
+print("raes reshape to 3 steps (2 features each):\n", transform_context(context, 3).data[0])
 print("stretched to 11 univariate steps:\n", stretch_context(context, 11).data.ravel())
 
 # Sizing: the context grows with the ratio sigma (here 16 steps, 2 features).
@@ -42,7 +45,7 @@ for sigma in (0.25, 0.5, 1.0):
 # Full models on one toy input; every variant ends at the same output shape.
 spec = ContextSpec.autoencoding(seq_len=16, n_features=2, sigma=0.5)
 rng = np.random.default_rng(7)
-x = Tensor(rng.uniform(-1, 1, (16, 2)))
+x = Tensor(rng.uniform(-1, 1, (1, 16, 2)))
 for kind in ("rae", "raes", "raesc", "raes-stretch"):
     variant = ModelVariant(kind)
     reason = infeasibility_reason(variant, spec)

@@ -50,7 +50,7 @@ from .models import (
     transform_context,
 )
 from .optim import AdamState, TrainingError, adam_step, mse_loss
-from .data import Dataset, SignalConfig, batches, generate_dataset, load_dataset, save_dataset, shuffle_split
+from .data import Dataset, SignalConfig, batches, generate_dataset, shuffle_split
 from .harness import (
     EpochRecord,
     ExperimentConfig,

@@ -3,13 +3,13 @@
 Each feature channel is an independent sum of random sinusoids (amplitude,
 whole-cycle count and phase drawn from one seeded generator) rescaled so the
 channel's largest magnitude is exactly 1. The generator, the shuffle and the
-batching are all pure functions of their configuration and seeds.
+batching are all pure functions of their configuration and seeds. Batches
+are [batch, seq_len, n_features] tensors, the layout every model takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +21,7 @@ __all__ = [
     "generate_dataset",
     "shuffle_split",
     "batches",
-    "save_dataset",
-    "load_dataset",
 ]
-
-_FILE_TAG = "raes-dataset"
-_FILE_VERSION = "v1"
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,6 @@ class Dataset:
     sequences: np.ndarray
     train_indices: np.ndarray
     val_indices: np.ndarray
-    seed: int = 0
 
     @property
     def n_sequences(self) -> int:
@@ -63,12 +57,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.sequences.shape[2]
-
-
-def _default_split(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cut = n * 4 // 5
-    idx = np.arange(n)
-    return idx[:cut], idx[cut:]
 
 
 def generate_dataset(cfg: SignalConfig) -> Dataset:
@@ -94,8 +82,8 @@ def generate_dataset(cfg: SignalConfig) -> Dataset:
     peak = np.abs(signals).max(axis=2, keepdims=True)
     signals /= np.where(peak > 0.0, peak, 1.0)
     sequences = np.ascontiguousarray(signals.transpose(0, 2, 1))
-    train_idx, val_idx = _default_split(n)
-    return Dataset(sequences, train_idx, val_idx, seed=cfg.seed)
+    idx = np.arange(n)
+    return Dataset(sequences, idx[: n * 4 // 5], idx[n * 4 // 5 :])
 
 
 def shuffle_split(dataset: Dataset, seed: int) -> Dataset:
@@ -103,7 +91,7 @@ def shuffle_split(dataset: Dataset, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.n_sequences)
     cut = dataset.n_sequences * 4 // 5
-    return Dataset(dataset.sequences, perm[:cut], perm[cut:], seed=dataset.seed)
+    return Dataset(dataset.sequences, perm[:cut], perm[cut:])
 
 
 def batches(dataset: Dataset, which: str, batch_size: int) -> list[Tensor]:
@@ -121,43 +109,3 @@ def batches(dataset: Dataset, which: str, batch_size: int) -> list[Tensor]:
         for i in range(0, len(idx), batch_size)
     ]
 
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write the portable text format: a header line, then one CSV line of
-    feature values per (sequence, time step), 9 significant digits."""
-    path = Path(path)
-    n, length, feats = dataset.sequences.shape
-    with path.open("w") as fh:
-        fh.write(f"{_FILE_TAG} {_FILE_VERSION} {n} {length} {feats} {dataset.seed}\n")
-        for s in range(n):
-            for t in range(length):
-                fh.write(",".join(format(v, ".9g") for v in dataset.sequences[s, t]) + "\n")
-
-
-def load_dataset(path) -> Dataset:
-    """Read the text format back, validating the declared shape.
-
-    The file stores no split; the loaded dataset gets the default unshuffled
-    assignment (re-split with :func:`shuffle_split` as needed).
-    """
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != _FILE_TAG or header[1] != _FILE_VERSION:
-            raise ValueError(f"{path}: not a {_FILE_TAG} {_FILE_VERSION} file")
-        n, length, feats, seed = (int(x) for x in header[2:])
-        values = np.empty((n * length, feats))
-        row = 0
-        for line in fh:
-            if row >= n * length:
-                raise ValueError(f"{path}: more data lines than the declared {n}x{length}")
-            parts = line.split(",")
-            if len(parts) != feats:
-                raise ValueError(f"{path}: line {row + 2} has {len(parts)} values, expected {feats}")
-            values[row] = [float(p) for p in parts]
-            row += 1
-        if row != n * length:
-            raise ValueError(f"{path}: {row} data lines, expected {n * length}")
-    sequences = values.reshape(n, length, feats)
-    train_idx, val_idx = _default_split(n)
-    return Dataset(sequences, train_idx, val_idx, seed=seed)

@@ -134,9 +134,9 @@ def _check_gru_one_step(rng) -> float:
 
 def _check_gru_forward(rng) -> float:
     layer = GRULayer(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
-    steps = [_rand(rng, layer.input_size) for _ in range(int(rng.integers(1, 8)))]
-    h0 = _rand(rng, layer.hidden_size)
-    r = Tensor(rng.uniform(-1.0, 1.0, size=(len(steps), layer.hidden_size)))
+    steps = [_rand(rng, 1, layer.input_size) for _ in range(int(rng.integers(1, 8)))]
+    h0 = _rand(rng, 1, layer.hidden_size)
+    r = Tensor(rng.uniform(-1.0, 1.0, size=(1, len(steps), layer.hidden_size)))
 
     def build():
         return sum_all(mul(gru_forward(layer, steps, h0), r))
@@ -151,8 +151,8 @@ def _check_conv1d(rng) -> float:
     length = kernel + int(rng.integers(0, 5))
     layer = Conv1DLayer(in_ch, filters, kernel, rng)
     layer.b.data[:] = rng.uniform(-0.5, 0.5, size=filters)
-    seq = _rand(rng, length, in_ch)
-    r = Tensor(rng.uniform(-1.0, 1.0, size=(length - kernel + 1, filters)))
+    seq = _rand(rng, 1, length, in_ch)
+    r = Tensor(rng.uniform(-1.0, 1.0, size=(1, length - kernel + 1, filters)))
 
     def build():
         return sum_all(mul(conv1d_forward(layer, seq), r))
@@ -166,9 +166,9 @@ def _check_maxpool(rng) -> float:
     length = pool.pool_size + int(rng.integers(0, 6))
     # well-separated values: ties or near-ties would break finite differences
     vals = np.linspace(-1.0, 1.0, length * channels)
-    seq = Tensor(rng.permutation(vals).reshape(length, channels), requires_grad=True)
+    seq = Tensor(rng.permutation(vals).reshape(1, length, channels), requires_grad=True)
     out_len = (length - pool.pool_size) // pool.stride + 1
-    r = Tensor(rng.uniform(-1.0, 1.0, size=(out_len, channels)))
+    r = Tensor(rng.uniform(-1.0, 1.0, size=(1, out_len, channels)))
 
     def build():
         return sum_all(mul(maxpool1d_forward(pool, seq), r))

@@ -83,7 +83,11 @@ class ExperimentConfig:
             raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         if self.time_budget_s is not None and not self.time_budget_s > 0:
             raise ValueError(f"time_budget_s must be > 0, got {self.time_budget_s}")
+        if self.decoder_hidden is not None and self.decoder_hidden < 1:
+            raise ValueError(f"decoder_hidden must be >= 1, got {self.decoder_hidden}")
         kinds = [v.kind for v in self.variants]
+        if not kinds:
+            raise ValueError("the variant list is empty; name at least one variant to train")
         if len(set(kinds)) < len(kinds):
             raise ValueError(f"variants {','.join(kinds)} list one kind twice; its runs would share one CSV file")
         # rejects a bad sigma or size when the config is built, not when it runs

@@ -1,11 +1,11 @@
 """Differentiable layers: GRU, dense output head, 1D convolution and pooling.
 
-All layers work on single examples (feature vectors, [length, channels]
-sequences) and transparently on batches carrying one extra leading axis.
-The GRU unrolls a whole list of steps as one tape record and returns the
-states as one [T, hidden] or [B, T, hidden] tensor; the dense head is one
-``linear`` over that tensor. Weights are float64 tensors initialized
-Glorot-uniform; biases start at zero.
+Every layer takes batches: sequences are [batch, length, channels], GRU
+steps [batch, input] and states [batch, hidden]; one sequence is a batch of
+one. The GRU unrolls a whole list of steps as one tape record and returns
+the states as one [B, T, hidden] tensor; the dense head is one ``linear``
+over that tensor. Weights are float64 tensors initialized Glorot-uniform;
+biases start at zero.
 """
 
 from __future__ import annotations
@@ -132,27 +132,24 @@ class MaxPool1D:
 
 
 def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
-    """Unroll the cell over a list of steps as one tape record.
+    """Unroll the cell over a list of [B, input] steps as one tape record.
 
-    Each step is [input] or [B, input] and h0 is [hidden] or [B, hidden];
-    the states come back as one [T, hidden] or [B, T, hidden] tensor. z, r
-    and the candidate are kept per step only while a tape is open.
+    h0 is [B, hidden] and the states come back as one [B, T, hidden] tensor.
+    z, r and the candidate are kept per step only while a tape is open.
     """
     xs = list(xs)
     if not xs:
         raise ValueError("gru_forward needs at least one input step")
-    if h0.ndim not in (1, 2) or h0.shape[-1] != layer.hidden_size:
-        raise ShapeError(f"gru_forward state {h0.shape} does not match hidden_size {layer.hidden_size}")
-    step_shape = h0.shape[:-1] + (layer.input_size,)
+    if h0.ndim != 2 or h0.shape[1] != layer.hidden_size:
+        raise ShapeError(f"gru_forward state {h0.shape} is not [batch, hidden_size={layer.hidden_size}]")
+    step_shape = (h0.shape[0], layer.input_size)
     if any(x.shape != step_shape for x in xs):
-        raise ShapeError(f"gru_forward steps must all be {step_shape} for state {h0.shape}")
+        raise ShapeError(f"gru_forward steps must all be [batch, input_size] {step_shape} for state {h0.shape}")
     W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
-    single = h0.ndim == 1
-    x2s = [x.data[None] if single else x.data for x in xs]
-    h2 = h_init = h0.data[None] if single else h0.data
+    h2 = h0.data
     states = np.empty((h2.shape[0], len(xs), layer.hidden_size))
     saved = [] if active_tape() is not None else None
-    for t, x2 in enumerate(x2s):
+    for t, x2 in enumerate(x.data for x in xs):
         z = _logistic(x2 @ W_z.data.T + h2 @ U_z.data.T + b_z.data)
         r = _logistic(x2 @ W_r.data.T + h2 @ U_r.data.T + b_r.data)
         cand = np.tanh(x2 @ W_h.data.T + (r * h2) @ U_h.data.T + b_h.data)
@@ -161,18 +158,17 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
         if saved is not None:
             saved.append((z, r, cand))
 
-    def back(g, xs=xs, x2s=x2s, h0=h0, h_init=h_init, states=states, saved=saved, single=single):
+    def back(g, xs=xs, h0=h0, states=states, saved=saved):
         # Per step, the expressions and the order in which terms are added
         # into x, the previous state and each parameter are those of the
         # per-gate composition (the oracle in tests/test_layers.py) replayed
         # in reverse, so every gradient rounds identically to it. A state's
         # gradient is its head gradient plus the next step's four terms.
-        g = g[None] if single else g
         dh = g[:, -1].copy()
         for t in range(len(xs) - 1, -1, -1):
-            x, x2, (z, r, cand) = xs[t], x2s[t], saved[t]
+            x, (z, r, cand) = xs[t], saved[t]
             # a contiguous copy: the strided view slows the GEMMs and products below
-            h2 = states[:, t - 1].copy() if t else h_init
+            h2 = states[:, t - 1].copy() if t else h0.data
             g_c = dh * z * (1.0 - cand * cand)
             g_rh = g_c @ U_h.data
             g_r = g_rh * h2 * r * (1.0 - r)
@@ -185,34 +181,28 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
                         dh += term
                 else:
                     for term in terms:
-                        accumulate_grad(h0, term[0] if single else term)
+                        accumulate_grad(h0, term)
             if x.requires_grad:
                 for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
-                    accumulate_grad(x, term[0] if single else term)
+                    accumulate_grad(x, term)
             # recomputed, not saved: the tape keeps only z, r and cand per step
             rh = r * h2
             for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
                 if w.requires_grad:
-                    accumulate_grad(w, gate.T @ x2)
+                    accumulate_grad(w, gate.T @ x.data)
                 if u.requires_grad:
                     accumulate_grad(u, gate.T @ state)
                 if b.requires_grad:
                     accumulate_grad(b, gate.sum(axis=0))
 
-    return record_op("gru_forward", states[0] if single else states, (*xs, h0, *params), back)
-
-
-def _promote_seq(seq: Tensor, op: str) -> tuple[np.ndarray, bool]:
-    if seq.ndim == 2:
-        return seq.data[None], True
-    if seq.ndim == 3:
-        return seq.data, False
-    raise ShapeError(f"{op} needs [length, channels] or [batch, length, channels], got {seq.shape}")
+    return record_op("gru_forward", states, (*xs, h0, *params), back)
 
 
 def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
-    """Valid cross-correlation: out[i, f] = b[f] + sum_k sum_l seq[i+k, l] w[f, k, l]."""
-    x3, squeeze = _promote_seq(seq, "conv1d_forward")
+    """Valid cross-correlation: out[n, i, f] = b[f] + sum_k sum_l seq[n, i+k, l] w[f, k, l]."""
+    if seq.ndim != 3:
+        raise ShapeError(f"conv1d_forward needs [batch, length, channels], got {seq.shape}")
+    x3 = seq.data
     batch, length, channels = x3.shape
     k = layer.kernel_size
     if channels != layer.in_channels:
@@ -230,22 +220,21 @@ def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
         for c in range(channels):
             out += xs[:, :, c, None] * w[:, kk, c]
 
-    def back(g, seq=seq, layer=layer, x3=x3, squeeze=squeeze, k=k, out_len=out_len):
-        g3 = g[None] if squeeze else g
+    def back(g, seq=seq, layer=layer, x3=x3, k=k, out_len=out_len):
         if layer.b.requires_grad:
-            accumulate_grad(layer.b, g3.sum(axis=(0, 1)))
+            accumulate_grad(layer.b, g.sum(axis=(0, 1)))
         if layer.w.requires_grad:
             gw = np.empty_like(layer.w.data)
             for kk in range(k):
-                gw[:, kk, :] = np.tensordot(g3, x3[:, kk : kk + out_len, :], axes=([0, 1], [0, 1]))
+                gw[:, kk, :] = np.tensordot(g, x3[:, kk : kk + out_len, :], axes=([0, 1], [0, 1]))
             accumulate_grad(layer.w, gw)
         if seq.requires_grad:
             gx = np.zeros_like(x3)
             for kk in range(k):
-                gx[:, kk : kk + out_len, :] += g3 @ layer.w.data[:, kk, :]
-            accumulate_grad(seq, gx[0] if squeeze else gx)
+                gx[:, kk : kk + out_len, :] += g @ layer.w.data[:, kk, :]
+            accumulate_grad(seq, gx)
 
-    return record_op("conv1d", out[0] if squeeze else out, (seq, layer.w, layer.b), back)
+    return record_op("conv1d", out, (seq, layer.w, layer.b), back)
 
 
 def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
@@ -253,7 +242,9 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
 
     The gradient routes to the window's argmax element, first occurrence on ties.
     """
-    x3, squeeze = _promote_seq(seq, "maxpool1d_forward")
+    if seq.ndim != 3:
+        raise ShapeError(f"maxpool1d_forward needs [batch, length, channels], got {seq.shape}")
+    x3 = seq.data
     length = x3.shape[1]
     p, s = pool.pool_size, pool.stride
     if length < p:
@@ -275,10 +266,10 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
         gx = np.zeros_like(x3)
         # np.add.at adds in (b, j, c) order, so overlapping windows sum in j order
         b, j, c = np.ogrid[: argmax.shape[0], : argmax.shape[1], : argmax.shape[2]]
-        np.add.at(gx, (b, j * s + argmax, c), g[None] if squeeze else g)
-        return gx[0] if squeeze else gx
+        np.add.at(gx, (b, j * s + argmax, c), g)
+        return gx
 
-    return _record("maxpool1d", out[0] if squeeze else out, (seq, grad_seq))
+    return _record("maxpool1d", out, (seq, grad_seq))
 
 
 def time_distributed_dense(layer: DenseLayer, seq: Tensor) -> Tensor:

@@ -3,7 +3,8 @@
 All four variants share the same encoder (a GRU whose final hidden state is
 the context vector), the same GRU decoder and the same time-distributed dense
 head; they differ only in how the flat context becomes the decoder's input
-sequence:
+sequence. Models take [batch, seq_len, n_features] inputs and carry
+[batch, context_size] contexts; one sequence is a batch of one.
 
 * ``rae``: the context vector is repeated at every decoder step.
 * ``raes``: the context is reshaped into seq_len steps of equal feature
@@ -85,8 +86,8 @@ class ModelVariant:
 
 def context_size_from_sigma(sigma: float, n_features: int, seq_len: int) -> int:
     """Context length for a given size ratio: round(sigma * n_features * seq_len)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be a finite number > 0, got {sigma}")
     if n_features < 1 or seq_len < 1:
         raise ValueError(f"n_features and seq_len must be >= 1, got ({n_features}, {seq_len})")
     n = int(round(sigma * n_features * seq_len))
@@ -137,24 +138,21 @@ class ContextSpec:
 
 
 def transform_context(context: Tensor, seq_len: int) -> Tensor:
-    """Reinterpret a flat context as seq_len steps of contiguous feature chunks.
+    """Reinterpret a [B, context_size] context as seq_len steps of contiguous feature chunks.
 
-    out[i, j] = context[i * lam + j] with lam = context_size / seq_len; a pure
-    reshape, so it is a bijection and differentiable. Accepts a batched
-    context [B, context_size] as well.
+    out[b, i, j] = context[b, i * lam + j] with lam = context_size / seq_len;
+    a pure reshape, so it is a bijection and differentiable.
     """
-    n = context.shape[-1]
+    if context.ndim != 2:
+        raise ShapeError(f"transform_context needs a [batch, context_size] context, got {context.shape}")
+    batch, n = context.shape
     lam = raes_feasible(n, seq_len)
     if lam is None:
         raise ShapeError(
             f"context size {n} is not a multiple of sequence length {seq_len}; "
             "the sequence reinterpretation needs an integer per-step feature count"
         )
-    if context.ndim == 1:
-        return reshape(context, (seq_len, lam))
-    if context.ndim == 2:
-        return reshape(context, (context.shape[0], seq_len, lam))
-    raise ShapeError(f"transform_context expects a vector or batch of vectors, got {context.shape}")
+    return reshape(context, (batch, seq_len, lam))
 
 
 @lru_cache(maxsize=None)
@@ -175,22 +173,18 @@ def _stretch_matrix(context_size: int, seq_len: int) -> np.ndarray:
 
 
 def stretch_context(context: Tensor, seq_len: int) -> Tensor:
-    """Upsample a short context to seq_len univariate steps by linear interpolation.
+    """Upsample a short [B, context_size] context to seq_len univariate steps by linear interpolation.
 
     Endpoints are preserved and interior gaps are filled with the linear
-    average of their neighbours. Accepts a batched context [B, context_size].
+    average of their neighbours.
     """
-    n = context.shape[-1]
+    if context.ndim != 2:
+        raise ShapeError(f"stretch_context needs a [batch, context_size] context, got {context.shape}")
+    batch, n = context.shape
     if n > seq_len:
         raise ShapeError(f"stretch only upsamples: context size {n} exceeds target length {seq_len}")
-    weights = Tensor(_stretch_matrix(n, seq_len))
-    if context.ndim == 1:
-        out = matmul(reshape(context, (1, n)), weights)
-        return reshape(out, (seq_len, 1))
-    if context.ndim == 2:
-        out = matmul(context, weights)
-        return reshape(out, (context.shape[0], seq_len, 1))
-    raise ShapeError(f"stretch_context expects a vector or batch of vectors, got {context.shape}")
+    out = matmul(context, Tensor(_stretch_matrix(n, seq_len)))
+    return reshape(out, (batch, seq_len, 1))
 
 
 def raesc_feature_len(context_size: int, kernel_size: int, pool_size: int, pool_stride: int) -> int:
@@ -297,26 +291,20 @@ class AutoencoderModel:
         return decode_steps(self, decoder_input_steps(self, encode_context(self, x)), x)
 
 
-def _zeros_like_state(x: Tensor, hidden: int) -> Tensor:
-    if x.ndim == 3:
-        return Tensor(np.zeros((x.shape[0], hidden)))
-    return Tensor(np.zeros(hidden))
-
-
 def encode_context(model: AutoencoderModel, x: Tensor) -> Tensor:
-    """Run the encoder; the context is its final hidden state."""
-    if x.ndim not in (2, 3) or x.shape[-2] != model.context.seq_len or x.shape[-1] != model.context.n_features:
+    """Run the encoder over a [B, seq_len, n_features] batch; the context is its final hidden state."""
+    if x.ndim != 3 or x.shape[1:] != (model.context.seq_len, model.context.n_features):
         raise ShapeError(
-            f"input {x.shape} does not match [seq_len={model.context.seq_len}, "
-            f"n_features={model.context.n_features}] (optionally batched)"
+            f"input {x.shape} does not match [batch, seq_len={model.context.seq_len}, "
+            f"n_features={model.context.n_features}]"
         )
-    h0 = _zeros_like_state(x, model.encoder.hidden_size)
+    h0 = Tensor(np.zeros((x.shape[0], model.encoder.hidden_size)))
     return take_step(gru_forward(model.encoder, unstack_steps(x), h0), -1)
 
 
 def decode_steps(model: AutoencoderModel, steps, like: Tensor) -> Tensor:
     """Run the decoder from a zero state and apply the head at every step."""
-    h0 = _zeros_like_state(like, model.decoder.hidden_size)
+    h0 = Tensor(np.zeros((like.shape[0], model.decoder.hidden_size)))
     return time_distributed_dense(model.head, gru_forward(model.decoder, steps, h0))
 
 
@@ -329,10 +317,7 @@ def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor
     if kind == RAES:
         return unstack_steps(transform_context(context, spec.seq_len))
     if kind == RAESC:
-        if context.ndim == 1:
-            seq = reshape(context, (spec.context_size, 1))
-        else:
-            seq = reshape(context, (context.shape[0], spec.context_size, 1))
+        seq = reshape(context, (context.shape[0], spec.context_size, 1))
         responses = conv1d_forward(model.conv, seq)
         pooled = maxpool1d_forward(model.pool, responses)
         return unstack_steps(swap_last_axes(pooled))

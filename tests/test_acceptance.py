@@ -77,7 +77,7 @@ def test_criterion_2_oracle_equivalence():
         layer = Conv1DLayer(channels, filters, kernel, rng)
         layer.b.data[:] = rng.uniform(-1, 1, filters)
         x = rng.uniform(-1, 1, (length, channels))
-        got = conv1d_forward(layer, Tensor(x)).data
+        got = conv1d_forward(layer, Tensor(x[None])).data[0]
         conv_ok = conv_ok and np.array_equal(got, naive_conv1d(x, layer.w.data, layer.b.data))
 
     reshape_ok = True
@@ -85,7 +85,7 @@ def test_criterion_2_oracle_equivalence():
         seq_len = int(rng.integers(1, 50))
         lam = int(rng.integers(1, 9))
         c = rng.uniform(-1, 1, seq_len * lam)
-        out = transform_context(Tensor(c), seq_len)
+        out = transform_context(Tensor(c[None]), seq_len)
         reshape_ok = reshape_ok and np.array_equal(out.data.ravel(), c)
 
     pool_ok = True
@@ -94,7 +94,7 @@ def test_criterion_2_oracle_equivalence():
         stride = int(rng.integers(1, 4))
         length = int(rng.integers(pool, 16))
         x = rng.uniform(-1, 1, (length, int(rng.integers(1, 4))))
-        got = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(x)).data
+        got = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(x[None])).data[0]
         pool_ok = pool_ok and np.array_equal(got, naive_maxpool(x, pool, stride))
 
     report(

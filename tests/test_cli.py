@@ -70,6 +70,7 @@ class TestRun:
         [
             ("--epochs", "0"), ("--sigma", "-1"), ("--pool-stride", "0"), ("--n-sequences", "1"), ("--model", "vae"),
             ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--time-budget-s", "-5"), ("--model", "rae,rae"),
+            ("--sigma", "inf"), ("--sigma", "nan"),
         ],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, flag, value):
@@ -78,6 +79,12 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("raes-lab: error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_empty_variant_list_is_named(self, tmp_path):
+        proc = raes_lab("run", *BASE_RUN, "--model", ",", "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert proc.stderr == "raes-lab: error: the variant list is empty; name at least one variant to train\n"
+        assert not (tmp_path / "x").exists()
 
     def test_divergence_is_one_line_error(self, tmp_path):
         proc = raes_lab(
@@ -126,6 +133,17 @@ class TestGrid:
         assert proc.stderr.startswith("raes-lab: error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "features=" not in proc.stdout
+        assert not out.exists()
+
+    def test_bad_decoder_hidden_fails_before_any_training(self, tmp_path):
+        out = tmp_path / "grid"
+        proc = raes_lab(
+            "grid", "--features", "1,4", "--sigmas", "0.25", "--models", "raes", "--decoder-hidden", "0",
+            "--seq-len", "200", "--epochs", "1", "--n-sequences", "10", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "raes-lab: error: decoder_hidden must be >= 1, got 0\n"
+        assert proc.stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(

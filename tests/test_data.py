@@ -1,4 +1,4 @@
-"""Synthetic signal generation, splitting, batching and the file format."""
+"""Synthetic signal generation, splitting and batching."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from raeslab.data import (
     SignalConfig,
     batches,
     generate_dataset,
-    load_dataset,
-    save_dataset,
     shuffle_split,
 )
 
@@ -114,39 +112,3 @@ class TestBatches:
             batches(ds, "train", 0)
         with pytest.raises(ValueError):
             batches(ds, "test", 1)
-
-
-class TestFileFormat:
-    def test_roundtrip_to_nine_digits(self, tmp_path):
-        ds = generate_dataset(small_cfg())
-        path = tmp_path / "signals.csv"
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.sequences.shape == ds.sequences.shape
-        assert loaded.seed == ds.seed
-        assert np.allclose(loaded.sequences, ds.sequences, rtol=1e-8, atol=1e-12)
-
-    def test_header_contents(self, tmp_path):
-        ds = generate_dataset(small_cfg())
-        path = tmp_path / "signals.csv"
-        save_dataset(ds, path)
-        header = path.read_text().splitlines()[0].split()
-        assert header == ["raes-dataset", "v1", "20", "16", "2", "123"]
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("something else\n")
-        with pytest.raises(ValueError):
-            load_dataset(path)
-
-    def test_shape_validation(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("raes-dataset v1 2 3 1 0\n0.1\n0.2\n")
-        with pytest.raises(ValueError, match="data lines"):
-            load_dataset(path)
-
-    def test_row_width_validation(self, tmp_path):
-        path = tmp_path / "wide.csv"
-        path.write_text("raes-dataset v1 1 1 2 0\n0.1,0.2,0.3\n")
-        with pytest.raises(ValueError, match="values"):
-            load_dataset(path)

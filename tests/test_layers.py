@@ -72,27 +72,19 @@ def oracle_maxpool(x, g, pool, stride):
 
 def oracle_gate_preact(x, w, b, h, u):
     """x @ w.T + h @ u.T + b as one tape record."""
-    single = x.ndim == 1
-    x2 = x.data[None] if single else x.data
-    h2 = h.data[None] if single else h.data
-    out = x2 @ w.data.T + h2 @ u.data.T + b.data
-    if single:
-        out = out[0]
+    out = x.data @ w.data.T + h.data @ u.data.T + b.data
 
     def back(g):
-        g2 = g[None] if single else g
         if x.requires_grad:
-            gx = g2 @ w.data
-            accumulate_grad(x, gx[0] if single else gx)
+            accumulate_grad(x, g @ w.data)
         if w.requires_grad:
-            accumulate_grad(w, g2.T @ x2)
+            accumulate_grad(w, g.T @ x.data)
         if h.requires_grad:
-            gh = g2 @ u.data
-            accumulate_grad(h, gh[0] if single else gh)
+            accumulate_grad(h, g @ u.data)
         if u.requires_grad:
-            accumulate_grad(u, g2.T @ h2)
+            accumulate_grad(u, g.T @ h.data)
         if b.requires_grad:
-            accumulate_grad(b, g2.sum(axis=0))
+            accumulate_grad(b, g.sum(axis=0))
 
     return record_op("gate_preact", out, (x, w, b, h, u), back)
 
@@ -145,30 +137,30 @@ class TestGRUStep:
 
     def test_zero_params_zero_state(self):
         layer = zeroed_gru(3, 4)
-        out = gru_forward(layer, [Tensor([1.0, -2.0, 0.5])], Tensor(np.zeros(4)))
-        assert np.array_equal(out.data, np.zeros((1, 4)))
+        out = gru_forward(layer, [Tensor([[1.0, -2.0, 0.5]])], Tensor(np.zeros((1, 4))))
+        assert np.array_equal(out.data[0], np.zeros((1, 4)))
 
     def test_zero_params_halves_state(self):
         layer = zeroed_gru(2, 3)
         v = np.array([0.4, -1.2, 2.0])
-        out = gru_forward(layer, [Tensor([1.0, 1.0])], Tensor(v))
-        assert np.allclose(out.data[0], 0.5 * v, atol=1e-15)
+        out = gru_forward(layer, [Tensor([[1.0, 1.0]])], Tensor(v[None]))
+        assert np.allclose(out.data[0][0], 0.5 * v, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_convex_combination_bound(self, seed):
         rng = np.random.default_rng(seed)
         layer = GRULayer(3, 5, rng)
-        h = Tensor(rng.uniform(-2.0, 2.0, 5))
-        out = gru_forward(layer, [Tensor(rng.uniform(-1.0, 1.0, 3))], h)
+        h = Tensor(rng.uniform(-2.0, 2.0, (1, 5)))
+        out = gru_forward(layer, [Tensor(rng.uniform(-1.0, 1.0, (1, 3)))], h)
         bound = np.maximum(np.abs(h.data), 1.0)
         assert np.all(np.abs(out.data[0]) <= bound)
 
     def test_shape_mismatch(self):
         layer = zeroed_gru(3, 4)
         with pytest.raises(ShapeError):
-            gru_forward(layer, [Tensor([1.0, 2.0])], Tensor(np.zeros(4)))
+            gru_forward(layer, [Tensor([[1.0, 2.0]])], Tensor(np.zeros((1, 4))))
         with pytest.raises(ShapeError):
-            gru_forward(layer, [Tensor([1.0, 2.0, 3.0])], Tensor(np.zeros(5)))
+            gru_forward(layer, [Tensor([[1.0, 2.0, 3.0]])], Tensor(np.zeros((1, 5))))
         with pytest.raises(ShapeError):
             gru_forward(layer, [Tensor(np.zeros((2, 3)))], Tensor(np.zeros((3, 4))))
 
@@ -177,42 +169,42 @@ class TestGRUForward:
     def test_length_one_equals_single_step(self):
         rng = np.random.default_rng(1)
         layer = GRULayer(2, 3, rng)
-        x = Tensor(rng.uniform(-1, 1, 2))
-        h0 = Tensor(rng.uniform(-1, 1, 3))
+        x = Tensor(rng.uniform(-1, 1, (1, 2)))
+        h0 = Tensor(rng.uniform(-1, 1, (1, 3)))
         states = gru_forward(layer, [x], h0)
-        assert states.shape == (1, 3)
-        assert np.array_equal(states.data[0], oracle_gru_step(layer, x, h0).data)
+        assert states.data[0].shape == (1, 3)
+        assert np.array_equal(states.data[0][0], oracle_gru_step(layer, x, h0).data[0])
 
     def test_zero_params_zero_outputs(self):
         layer = zeroed_gru(1, 4)
-        xs = [Tensor([float(i)]) for i in range(5)]
-        states = gru_forward(layer, xs, Tensor(np.zeros(4)))
-        assert np.array_equal(states.data, np.zeros((5, 4)))
+        xs = [Tensor([[float(i)]]) for i in range(5)]
+        states = gru_forward(layer, xs, Tensor(np.zeros((1, 4))))
+        assert np.array_equal(states.data[0], np.zeros((5, 4)))
 
     def test_output_length_matches_input(self):
         rng = np.random.default_rng(2)
         layer = GRULayer(2, 3, rng)
         for n in (1, 4, 9):
-            xs = [Tensor(rng.uniform(-1, 1, 2)) for _ in range(n)]
-            assert gru_forward(layer, xs, Tensor(np.zeros(3))).shape == (n, 3)
+            xs = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(n)]
+            assert gru_forward(layer, xs, Tensor(np.zeros((1, 3)))).data[0].shape == (n, 3)
             batched = [Tensor(rng.uniform(-1, 1, (5, 2))) for _ in range(n)]
             assert gru_forward(layer, batched, Tensor(np.zeros((5, 3)))).shape == (5, n, 3)
 
     def test_matches_manual_step_composition_bit_exactly(self):
         rng = np.random.default_rng(3)
         layer = GRULayer(3, 4, rng)
-        xs = [Tensor(rng.uniform(-1, 1, 3)) for _ in range(6)]
-        h0 = Tensor(rng.uniform(-1, 1, 4))
+        xs = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in range(6)]
+        h0 = Tensor(rng.uniform(-1, 1, (1, 4)))
         states = gru_forward(layer, xs, h0)
         h = h0
-        for x, state in zip(xs, states.data):
-            h = Tensor(gru_forward(layer, [x], h).data[0])
-            assert np.array_equal(state, h.data)
+        for x, state in zip(xs, states.data[0]):
+            h = Tensor(gru_forward(layer, [x], h).data[:, 0])
+            assert np.array_equal(state, h.data[0])
 
     def test_empty_sequence_rejected(self):
         layer = zeroed_gru(1, 1)
         with pytest.raises(ValueError):
-            gru_forward(layer, [], Tensor(np.zeros(1)))
+            gru_forward(layer, [], Tensor(np.zeros((1, 1))))
 
 
 class TestGRUStepOracle:
@@ -235,7 +227,7 @@ class TestGRUStepOracle:
             backward(tape, sum_all(mul(states, proj)))
         return states.data, [t.grad for t in tensors]
 
-    @pytest.mark.parametrize("batch", [None, 4])
+    @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("h_requires_grad", [True, False])
     @pytest.mark.parametrize("shared_x", [False, True])
     # one step is the GRU cell itself; six steps unroll a sequence
@@ -245,13 +237,12 @@ class TestGRUStepOracle:
         layer = GRULayer(5, 7, rng)
         for p in layer.parameters():
             p.data[:] = rng.uniform(-1.5, 1.5, p.shape)
-        lead = () if batch is None else (batch,)
         if shared_x:
-            xs = [Tensor(rng.uniform(-2, 2, lead + (5,)), requires_grad=True)] * n_steps
+            xs = [Tensor(rng.uniform(-2, 2, (batch, 5)), requires_grad=True)] * n_steps
         else:
-            xs = [Tensor(rng.uniform(-2, 2, lead + (5,)), requires_grad=True) for _ in range(n_steps)]
-        h0 = Tensor(rng.uniform(-1, 1, lead + (7,)), requires_grad=h_requires_grad)
-        proj = Tensor(rng.uniform(-1, 1, lead + (n_steps, 7)))
+            xs = [Tensor(rng.uniform(-2, 2, (batch, 5)), requires_grad=True) for _ in range(n_steps)]
+        h0 = Tensor(rng.uniform(-1, 1, (batch, 7)), requires_grad=h_requires_grad)
+        proj = Tensor(rng.uniform(-1, 1, (batch, n_steps, 7)))
         states, grads = self.unroll(True, layer, xs, h0, proj)
         want_states, want_grads = self.unroll(False, layer, xs, h0, proj)
         assert np.array_equal(states, want_states)
@@ -273,16 +264,16 @@ class TestConv1D:
         layer = Conv1DLayer(1, 1, 2, np.random.default_rng(0))
         layer.w.data[:] = 1.0
         layer.b.data[:] = 0.0
-        out = conv1d_forward(layer, Tensor(np.array([[1.0], [2.0], [3.0], [4.0]])))
-        assert out.data.tolist() == [[3.0], [5.0], [7.0]]
+        out = conv1d_forward(layer, Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]])))
+        assert out.data[0].tolist() == [[3.0], [5.0], [7.0]]
 
     def test_size_one_kernel_is_identity(self):
         layer = Conv1DLayer(1, 1, 1, np.random.default_rng(0))
         layer.w.data[:] = 1.0
         layer.b.data[:] = 0.0
         seq = np.array([[0.5], [-1.0], [2.0]])
-        out = conv1d_forward(layer, Tensor(seq))
-        assert np.array_equal(out.data, seq)
+        out = conv1d_forward(layer, Tensor(seq[None]))
+        assert np.array_equal(out.data[0], seq)
 
     def test_matches_naive_oracle_bit_exactly(self):
         rng = np.random.default_rng(42)
@@ -294,8 +285,8 @@ class TestConv1D:
             layer = Conv1DLayer(channels, filters, kernel, rng)
             layer.b.data[:] = rng.uniform(-1, 1, filters)
             x = rng.uniform(-1, 1, (length, channels))
-            out = conv1d_forward(layer, Tensor(x))
-            assert np.array_equal(out.data, naive_conv1d(x, layer.w.data, layer.b.data))
+            out = conv1d_forward(layer, Tensor(x[None]))
+            assert np.array_equal(out.data[0], naive_conv1d(x, layer.w.data, layer.b.data))
 
     def test_batched_matches_per_sequence(self):
         rng = np.random.default_rng(9)
@@ -303,35 +294,35 @@ class TestConv1D:
         batch = rng.uniform(-1, 1, (4, 6, 2))
         out = conv1d_forward(layer, Tensor(batch))
         for i in range(4):
-            single = conv1d_forward(layer, Tensor(batch[i]))
-            assert np.array_equal(out.data[i], single.data)
+            single = conv1d_forward(layer, Tensor(batch[i][None]))
+            assert np.array_equal(out.data[i], single.data[0])
 
     def test_short_sequence_rejected(self):
         layer = Conv1DLayer(1, 1, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="2.*3"):
-            conv1d_forward(layer, Tensor(np.zeros((2, 1))))
+            conv1d_forward(layer, Tensor(np.zeros((1, 2, 1))))
 
     def test_output_length_formula(self):
         rng = np.random.default_rng(8)
         for kernel, length in [(1, 1), (2, 2), (3, 7), (4, 16)]:
             layer = Conv1DLayer(1, 2, kernel, rng)
-            out = conv1d_forward(layer, Tensor(rng.uniform(-1, 1, (length, 1))))
-            assert out.shape == (length - kernel + 1, 2)
+            out = conv1d_forward(layer, Tensor(rng.uniform(-1, 1, (1, length, 1))))
+            assert out.data[0].shape == (length - kernel + 1, 2)
 
 
 class TestMaxPool:
     def test_hand_case_drops_remainder(self):
-        out = maxpool1d_forward(MaxPool1D(2, 2), Tensor(np.array([[3.0], [5.0], [7.0]])))
-        assert out.data.tolist() == [[5.0]]
+        out = maxpool1d_forward(MaxPool1D(2, 2), Tensor(np.array([[[3.0], [5.0], [7.0]]])))
+        assert out.data[0].tolist() == [[5.0]]
 
     def test_pool_one_is_identity(self):
         seq = np.array([[1.0, 4.0], [-2.0, 0.5], [3.0, 3.0]])
-        out = maxpool1d_forward(MaxPool1D(1, 1), Tensor(seq))
-        assert np.array_equal(out.data, seq)
+        out = maxpool1d_forward(MaxPool1D(1, 1), Tensor(seq[None]))
+        assert np.array_equal(out.data[0], seq)
 
     def test_constant_sequence(self):
-        out = maxpool1d_forward(MaxPool1D(3, 2), Tensor(np.full((8, 2), 0.7)))
-        assert out.shape == ((8 - 3) // 2 + 1, 2)
+        out = maxpool1d_forward(MaxPool1D(3, 2), Tensor(np.full((1, 8, 2), 0.7)))
+        assert out.data[0].shape == ((8 - 3) // 2 + 1, 2)
         assert np.all(out.data == 0.7)
 
     def test_matches_naive_oracle(self):
@@ -342,17 +333,17 @@ class TestMaxPool:
             channels = int(rng.integers(1, 4))
             length = int(rng.integers(pool, 16))
             x = rng.uniform(-1, 1, (length, channels))
-            out = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(x))
-            assert np.array_equal(out.data, naive_maxpool(x, pool, stride))
+            out = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(x[None]))
+            assert np.array_equal(out.data[0], naive_maxpool(x, pool, stride))
 
-    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     def test_running_max_matches_window_argmax_oracle(self, batch):
-        rng = np.random.default_rng(22 if batch is None else 23)
+        rng = np.random.default_rng(22 if batch == 1 else 23)
         for _ in range(300):
             pool = int(rng.integers(1, 5))
             stride = int(rng.integers(1, 6))
             length = int(rng.integers(pool, 18))
-            shape = (1 if batch is None else batch, length, int(rng.integers(1, 4)))
+            shape = (batch, length, int(rng.integers(1, 4)))
             # few distinct values (signed zeros included) make ties common
             x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=shape)
             if rng.random() < 0.5:
@@ -360,19 +351,17 @@ class TestMaxPool:
             out_len = (length - pool) // stride + 1
             g = rng.uniform(-1, 1, (shape[0], out_len, shape[2]))
             want_out, want_grad = oracle_maxpool(x, g, pool, stride)
-            seq = Tensor(x[0] if batch is None else x, requires_grad=True)
+            seq = Tensor(x, requires_grad=True)
             with Tape() as tape:
                 out = maxpool1d_forward(MaxPool1D(pool, stride), seq)
-                backward(tape, sum_all(mul(out, Tensor(g[0] if batch is None else g))))
-            if batch is None:
-                want_out, want_grad = want_out[0], want_grad[0]
+                backward(tape, sum_all(mul(out, Tensor(g))))
             # same bits: NaNs and the sign of zero included
             assert out.shape == want_out.shape and out.data.tobytes() == want_out.tobytes()
             assert np.array_equal(out.data, want_out, equal_nan=True)
             assert np.array_equal(seq.grad, want_grad)
 
     def test_gradient_routes_to_first_argmax_on_ties(self):
-        seq = Tensor(np.array([[2.0], [2.0], [1.0], [1.0]]), requires_grad=True)
+        seq = Tensor(np.array([[[2.0], [2.0], [1.0], [1.0]]]), requires_grad=True)
         with Tape() as tape:
             out = maxpool1d_forward(MaxPool1D(2, 2), seq)
             backward(tape, sum_all(out))
@@ -380,13 +369,13 @@ class TestMaxPool:
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool1d_forward(MaxPool1D(4, 1), Tensor(np.zeros((3, 1))))
+            maxpool1d_forward(MaxPool1D(4, 1), Tensor(np.zeros((1, 3, 1))))
 
     def test_output_length_formula(self):
         rng = np.random.default_rng(13)
         for pool, stride, length in [(1, 1, 5), (2, 2, 9), (3, 1, 7), (2, 3, 10)]:
-            out = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(rng.uniform(-1, 1, (length, 2))))
-            assert out.shape == ((length - pool) // stride + 1, 2)
+            out = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(rng.uniform(-1, 1, (1, length, 2))))
+            assert out.data[0].shape == ((length - pool) // stride + 1, 2)
 
 
 class TestTranspose:
@@ -481,11 +470,11 @@ class TestLayerGradients:
     def test_gru_hidden_size_one(self):
         rng = np.random.default_rng(30)
         layer = GRULayer(2, 1, rng)
-        xs = [Tensor(rng.uniform(-1, 1, 2)) for _ in range(3)]
-        proj = Tensor(rng.uniform(-1, 1, (3, 1)))
+        xs = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
+        proj = Tensor(rng.uniform(-1, 1, (1, 3, 1)))
 
         def build():
-            return sum_all(mul(gru_forward(layer, xs, Tensor(np.zeros(1))), proj))
+            return sum_all(mul(gru_forward(layer, xs, Tensor(np.zeros((1, 1)))), proj))
 
         assert check_gradients(build, layer.parameters()) < 1e-4
 
@@ -493,8 +482,8 @@ class TestLayerGradients:
         rng = np.random.default_rng(31)
         layer = Conv1DLayer(2, 3, 4, rng)
         layer.b.data[:] = rng.uniform(-0.5, 0.5, 3)
-        seq = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (1, 3)))
+        seq = Tensor(rng.uniform(-1, 1, (1, 4, 2)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, (1, 1, 3)))
 
         def build():
             return sum_all(mul(conv1d_forward(layer, seq), proj))

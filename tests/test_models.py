@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from raeslab.gradcheck import check_gradients
+from raeslab.layers import Conv1DLayer, GRULayer, MaxPool1D, conv1d_forward, gru_forward, maxpool1d_forward
 from raeslab.models import (
     RAE,
     RAES,
@@ -51,6 +52,10 @@ class TestContextSize:
             context_size_from_sigma(1.0, 0, 200)
         with pytest.raises(ValueError):
             context_size_from_sigma(0.001, 1, 10)  # rounds to an empty context
+        with pytest.raises(ValueError, match="finite"):
+            context_size_from_sigma(float("inf"), 1, 200)
+        with pytest.raises(ValueError, match="finite"):
+            context_size_from_sigma(float("nan"), 1, 200)
 
 
 class TestFeasibility:
@@ -84,12 +89,12 @@ class TestFeasibility:
 
 class TestTransformContext:
     def test_hand_case(self):
-        out = transform_context(Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), 3)
-        assert out.data.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        out = transform_context(Tensor([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]), 3)
+        assert out.data[0].tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     def test_unit_chunks(self):
-        out = transform_context(Tensor([7.0, 8.0, 9.0]), 3)
-        assert out.data.tolist() == [[7.0], [8.0], [9.0]]
+        out = transform_context(Tensor([[7.0, 8.0, 9.0]]), 3)
+        assert out.data[0].tolist() == [[7.0], [8.0], [9.0]]
 
     def test_flatten_roundtrip_on_random_divisible_pairs(self):
         rng = np.random.default_rng(0)
@@ -97,13 +102,13 @@ class TestTransformContext:
             seq_len = int(rng.integers(1, 40))
             lam = int(rng.integers(1, 8))
             c = rng.uniform(-1, 1, seq_len * lam)
-            out = transform_context(Tensor(c), seq_len)
-            assert out.shape == (seq_len, lam)
+            out = transform_context(Tensor(c[None]), seq_len)
+            assert out.data[0].shape == (seq_len, lam)
             assert np.array_equal(out.data.ravel(), c)
 
     def test_indivisible_rejected_with_constraint(self):
         with pytest.raises(ShapeError, match="multiple"):
-            transform_context(Tensor(np.zeros(50)), 200)
+            transform_context(Tensor(np.zeros((1, 50))), 200)
 
     def test_batched(self):
         c = np.arange(12.0).reshape(2, 6)
@@ -114,37 +119,37 @@ class TestTransformContext:
 
 class TestStretchContext:
     def test_midpoint_is_average(self):
-        out = stretch_context(Tensor([1.0, 3.0]), 3)
-        assert out.data.tolist() == [[1.0], [2.0], [3.0]]
+        out = stretch_context(Tensor([[1.0, 3.0]]), 3)
+        assert out.data[0].tolist() == [[1.0], [2.0], [3.0]]
 
     def test_equal_length_is_identity_column(self):
         c = np.array([0.3, -0.7, 1.0, 0.1])
-        out = stretch_context(Tensor(c), 4)
+        out = stretch_context(Tensor(c[None]), 4)
         assert np.allclose(out.data.ravel(), c, atol=1e-15)
 
     def test_single_point_is_constant(self):
-        out = stretch_context(Tensor([4.2]), 5)
+        out = stretch_context(Tensor([[4.2]]), 5)
         assert np.all(out.data == 4.2)
-        assert out.shape == (5, 1)
+        assert out.data[0].shape == (5, 1)
 
     def test_endpoints_preserved(self):
         rng = np.random.default_rng(2)
         for n_c, seq_len in [(2, 9), (3, 7), (5, 11), (7, 8)]:
             c = rng.uniform(-1, 1, n_c)
-            out = stretch_context(Tensor(c), seq_len).data.ravel()
+            out = stretch_context(Tensor(c[None]), seq_len).data.ravel()
             assert out[0] == c[0]
             assert out[-1] == c[-1]
 
     def test_downsampling_rejected(self):
         with pytest.raises(ShapeError, match="upsample"):
-            stretch_context(Tensor(np.zeros(5)), 3)
+            stretch_context(Tensor(np.zeros((1, 5))), 3)
 
     def test_differentiable(self):
-        c = Tensor(np.array([0.5, -0.5, 1.0]), requires_grad=True)
+        c = Tensor(np.array([[0.5, -0.5, 1.0]]), requires_grad=True)
 
         def build():
             out = stretch_context(c, 7)
-            return mse_loss(out, np.zeros((7, 1)))
+            return mse_loss(out, np.zeros((1, 7, 1)))
 
         assert check_gradients(build, [c]) < 1e-4
 
@@ -169,8 +174,8 @@ class TestForwards:
     def test_output_shape_contract(self, kind, sigma, kw):
         model, spec = build_model(kind, sigma=sigma, **kw)
         rng = np.random.default_rng(1)
-        single = model.forward(Tensor(rng.uniform(-1, 1, (spec.seq_len, spec.n_features))))
-        assert single.shape == (spec.seq_len, spec.n_features)
+        single = model.forward(Tensor(rng.uniform(-1, 1, (1, spec.seq_len, spec.n_features))))
+        assert single.data[0].shape == (spec.seq_len, spec.n_features)
         batched = model.forward(Tensor(rng.uniform(-1, 1, (5, spec.seq_len, spec.n_features))))
         assert batched.shape == (5, spec.seq_len, spec.n_features)
 
@@ -178,7 +183,7 @@ class TestForwards:
         model, spec = build_model(RAE, sigma=1.25)
         for p in model.parameters():
             p.data[:] = 0.0
-        out = model.forward(Tensor(np.random.default_rng(0).uniform(-1, 1, (spec.seq_len, 1))))
+        out = model.forward(Tensor(np.random.default_rng(0).uniform(-1, 1, (1, spec.seq_len, 1))))
         assert np.array_equal(out.data, np.zeros(out.shape))
 
     def test_generic_parameters_give_live_gradients(self):
@@ -189,22 +194,22 @@ class TestForwards:
             (RAES_STRETCH, 0.75, {}),
         ]:
             model, spec = build_model(kind, sigma=sigma, seed=3, **kw)
-            x = Tensor(np.random.default_rng(4).uniform(-1, 1, (spec.seq_len, 1)))
+            x = Tensor(np.random.default_rng(4).uniform(-1, 1, (1, spec.seq_len, 1)))
             with Tape() as tape:
-                loss = mse_loss(model.forward(x), np.ones((spec.seq_len, 1)))
+                loss = mse_loss(model.forward(x), np.ones((1, spec.seq_len, 1)))
                 backward(tape, loss)
             total = sum(float(np.abs(p.grad).sum()) for p in model.parameters())
             assert total > 0.0, kind
 
     def test_raes_unit_chunk_steps_are_context_entries(self):
         model, spec = build_model(RAES, sigma=1.0)
-        x = Tensor(np.random.default_rng(5).uniform(-1, 1, (spec.seq_len, 1)))
+        x = Tensor(np.random.default_rng(5).uniform(-1, 1, (1, spec.seq_len, 1)))
         context = encode_context(model, x)
         steps = decoder_input_steps(model, context)
         assert len(steps) == spec.seq_len
         for i, s in enumerate(steps):
-            assert s.shape == (1,)
-            assert s.data[0] == context.data[i]
+            assert s.data[0].shape == (1,)
+            assert s.data[0][0] == context.data[0][i]
 
     def test_raesc_decoder_input_shape_example(self):
         # context 50, kernel 3, pool 2/2 -> conv length 48, pooled 24, one step per filter
@@ -212,24 +217,24 @@ class TestForwards:
         variant = ModelVariant(RAESC, kernel_size=3, pool_size=2, pool_stride=2)
         spec = ContextSpec.autoencoding(seq_len=200, n_features=1, sigma=0.25)
         model = AutoencoderModel.build(variant, spec, np.random.default_rng(0))
-        context = Tensor(np.random.default_rng(1).uniform(-1, 1, 50))
+        context = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 50)))
         steps = decoder_input_steps(model, context)
         assert len(steps) == 200
-        assert all(s.shape == (24,) for s in steps)
+        assert all(s.data[0].shape == (24,) for s in steps)
 
     def test_raesc_works_where_raes_cannot(self):
         spec = ContextSpec.autoencoding(seq_len=200, n_features=1, sigma=0.25)
         assert spec.step_features is None
         variant = ModelVariant(RAESC)
         model = AutoencoderModel.build(variant, spec, np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(1).uniform(-1, 1, (200, 1)))
-        assert model.forward(x).shape == (200, 1)
+        x = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 200, 1)))
+        assert model.forward(x).data[0].shape == (200, 1)
 
     def test_full_forward_backward_finite_differences(self):
         for kind, sigma, kw in [(RAES, 2.0, {}), (RAESC, 1.5, {"kernel_size": 2, "pool_size": 2})]:
             model, spec = build_model(kind, sigma=sigma, seed=6, **kw)
-            x = Tensor(np.random.default_rng(7).uniform(-1, 1, (spec.seq_len, 1)))
-            target = np.random.default_rng(8).uniform(-1, 1, (spec.seq_len, 1))
+            x = Tensor(np.random.default_rng(7).uniform(-1, 1, (1, spec.seq_len, 1)))
+            target = np.random.default_rng(8).uniform(-1, 1, (1, spec.seq_len, 1))
 
             def build():
                 return mse_loss(model.forward(x), target)
@@ -259,6 +264,37 @@ class TestTapeRecords:
 
     def test_rae_record_count_independent_of_length(self):
         assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 7
+
+
+def _gru():
+    return GRULayer(2, 3, np.random.default_rng(0))
+
+
+def _rae():
+    return build_model(RAE, seq_len=4, sigma=1.0)[0]
+
+
+class TestBatchLayout:
+    """Layers and models take [batch, length, channels] sequences and [batch, size] states and contexts only."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: gru_forward(_gru(), [Tensor(np.zeros((1, 2)))], Tensor(np.zeros(3))), id="gru-state"),
+            pytest.param(lambda: gru_forward(_gru(), [Tensor(np.zeros(2))], Tensor(np.zeros((1, 3)))), id="gru-step"),
+            pytest.param(
+                lambda: conv1d_forward(Conv1DLayer(1, 2, 2, np.random.default_rng(0)), Tensor(np.zeros((5, 1)))),
+                id="conv1d",
+            ),
+            pytest.param(lambda: maxpool1d_forward(MaxPool1D(2, 2), Tensor(np.zeros((5, 1)))), id="maxpool1d"),
+            pytest.param(lambda: encode_context(_rae(), Tensor(np.zeros((4, 1)))), id="encode_context"),
+            pytest.param(lambda: transform_context(Tensor(np.zeros(6)), 3), id="transform_context"),
+            pytest.param(lambda: stretch_context(Tensor(np.zeros(2)), 3), id="stretch_context"),
+        ],
+    )
+    def test_unbatched_input_is_a_shape_error(self, call):
+        with pytest.raises(ShapeError, match="batch"):
+            call()
 
 
 class TestModelStructure:
@@ -296,7 +332,7 @@ class TestModelStructure:
             b, _ = build_model(kind, sigma=sigma, seed=9, kernel_size=2, pool_size=2)
             for pa, pb in zip(a.parameters(), b.parameters()):
                 assert np.array_equal(pa.data, pb.data)
-            x = Tensor(np.random.default_rng(10).uniform(-1, 1, (spec.seq_len, 1)))
+            x = Tensor(np.random.default_rng(10).uniform(-1, 1, (1, spec.seq_len, 1)))
             la = mse_loss(a.forward(x), x)
             lb = mse_loss(b.forward(x), x)
             assert la.data == lb.data
