@@ -135,7 +135,8 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     """Unroll the cell over a list of [B, input] steps as one tape record.
 
     h0 is [B, hidden] and the states come back as one [B, T, hidden] tensor.
-    z, r and the candidate are kept per step only while a tape is open.
+    z, r and the candidate are kept per step only while a tape is open, and
+    the backward frees each step's as soon as that step has replayed.
     """
     xs = list(xs)
     if not xs:
@@ -167,6 +168,7 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
         dh = g[:, -1].copy()
         for t in range(len(xs) - 1, -1, -1):
             x, (z, r, cand) = xs[t], saved[t]
+            saved[t] = None
             # a contiguous copy: the strided view slows the GEMMs and products below
             h2 = states[:, t - 1].copy() if t else h0.data
             g_c = dh * z * (1.0 - cand * cand)
@@ -253,7 +255,8 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     # x3[:, j*s + k], so each offset is one strided slice of the sequence
     stop = (length - p) // s * s + 1
     out = x3[:, :stop:s].copy()
-    argmax = np.zeros(out.shape, dtype=np.intp)
+    # offsets below p: one byte each for any pool of up to 256
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(p - 1))
     for k in range(1, p):
         cand = x3[:, k : k + stop : s]
         # strictly greater keeps the first maximum on ties; like argmax, the

@@ -5,8 +5,9 @@ convolution stack and an MSE head need. ``take_step`` and ``unstack_steps``
 split a sequence [..., T, m] into steps, one ``step`` record each. Values
 live in row-major (C-contiguous) numpy float64 arrays; gradients are arrays
 of the same shape, allocated lazily during the backward pass and accumulated
-additively across fan-out. An op output's gradient is released once its
-record has replayed; leaves keep theirs.
+additively across fan-out. The backward frees memory as it goes: once a
+record has replayed, its closure, the activations that closure saved and its
+output's gradient are released; leaves keep their gradients.
 
 An op whose backward adds one independent term into each input records
 through the private ``_record``; one with any other backward (the scatter of
@@ -92,12 +93,13 @@ class Tape:
 
     Operations append themselves in forward order, which is a valid
     topological order by construction. ``backward`` replays every record
-    exactly once, in reverse insertion order, and releases each record
-    output's gradient as that record consumes it; leaves keep theirs.
+    exactly once, in reverse insertion order, and leaves the tape spent: each
+    record keeps only its op name, so ``len`` and ``op_names`` still
+    describe it, and a second ``backward`` raises ``GraphError``.
     """
 
     def __init__(self):
-        self._records: list[tuple[str, Tensor, object]] = []
+        self._records: list[tuple[str, Tensor | None, object]] = []
 
     def __enter__(self) -> "Tape":
         _tapes().append(self)
@@ -161,15 +163,22 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Add into ``grad`` of every leaf reachable from the scalar ``loss``.
 
     Gradients accumulate additively when a tensor feeds several ops. Each
-    recorded op output's ``grad`` is set back to None as its record replays,
-    so intermediate gradients live only until consumed and a second backward
-    over the same tape adds each leaf's gradient terms once more. Leaves
-    (parameters and inputs, which no record produced) keep their ``grad``.
+    record is reduced to its name just before its function runs, so the
+    closure and the activations it saved are freed once it has replayed, and
+    its output's ``grad`` is set back to None, so intermediate gradients live
+    only until consumed. Leaves (parameters and inputs, which no record
+    produced) keep their ``grad``. The tape is then spent: a second backward
+    over it raises ``GraphError`` before it touches any gradient.
     """
     if loss.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
+    records = tape._records
+    if records and records[-1][2] is None:
+        raise GraphError("backward over a spent tape: its records have already replayed")
     loss.grad = np.ones_like(loss.data)
-    for _, out, fn in reversed(tape._records):
+    for i in range(len(records) - 1, -1, -1):
+        name, out, fn = records[i]
+        records[i] = (name, None, None)
         g = out.grad
         if g is not None:
             out.grad = None
@@ -187,12 +196,20 @@ def _as_tensor(x) -> Tensor:
 
 def _record(name: str, data: np.ndarray, *terms) -> Tensor:
     """Record an op from ``(input, grad_fn)`` pairs: its backward adds
-    ``grad_fn(g)`` into each input that has ``requires_grad``, in the order given."""
+    ``grad_fn(g)`` into each input that has ``requires_grad``, in the order given.
+
+    A fresh array (not ``g``, not a view, not a broadcast) becomes an input's
+    first gradient as it is; anything else is copied by ``accumulate_grad``.
+    """
 
     def back(g):
         for t, grad_fn in terms:
             if t.requires_grad:
-                accumulate_grad(t, grad_fn(g))
+                r = grad_fn(g)
+                if t.grad is None and r is not g and r.base is None and r.shape == t.data.shape and r.flags.writeable:
+                    t.grad = r
+                else:
+                    accumulate_grad(t, r)
 
     return record_op(name, data, tuple([t for t, _ in terms]), back)
 

@@ -339,13 +339,18 @@ class TestMaxPool:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_running_max_matches_window_argmax_oracle(self, batch):
         rng = np.random.default_rng(22 if batch == 1 else 23)
-        for _ in range(300):
-            pool = int(rng.integers(1, 5))
+        # 300 small pools, then pools above 256, whose window offsets need uint16
+        for low, high in [(1, 5)] * 300 + [(257, 512)] * 10:
+            pool = int(rng.integers(low, high))
             stride = int(rng.integers(1, 6))
-            length = int(rng.integers(pool, 18))
+            length = int(rng.integers(pool, max(18, pool + 14)))
             shape = (batch, length, int(rng.integers(1, 4)))
-            # few distinct values (signed zeros included) make ties common
-            x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=shape)
+            if pool > 256:
+                # a random walk puts many window maxima past offset 255
+                x = np.cumsum(rng.uniform(-1, 1, shape), axis=1)
+            else:
+                # few distinct values (signed zeros included) make ties common
+                x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=shape)
             if rng.random() < 0.5:
                 x[rng.random(shape) < 0.2] = np.nan
             out_len = (length - pool) // stride + 1

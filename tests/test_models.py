@@ -1,5 +1,7 @@
 """Context sizing, feasibility, the reshape/stretch transforms and full forwards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from raeslab.models import (
     transform_context,
 )
 from raeslab.optim import mse_loss
-from raeslab.tensor import ShapeError, Tape, Tensor, backward
+from raeslab.tensor import ShapeError, Tape, Tensor, backward, sum_all
 
 # the benchmark grid: features x sigma at sequence length 200
 GRID_FEATURES = (1, 2, 4, 8)
@@ -264,6 +266,55 @@ class TestTapeRecords:
 
     def test_rae_record_count_independent_of_length(self):
         assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 7
+
+
+class TestBackwardMemory:
+    """The backward frees each record's saved activations once it has replayed.
+
+    tracemalloc counts numpy's allocations exactly, so the figures repeat run
+    to run. The bounds sit between a backward that keeps the whole tape to
+    the end and this one; both figures are given per test.
+    """
+
+    @staticmethod
+    def traced_backward(build_loss):
+        """(memory at the end of the forward, held after backward, backward peak), in bytes."""
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = build_loss()
+                forward_end, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                backward(tape, loss)
+                held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return forward_end, held, peak
+
+    def test_rae_batch_backward_frees_the_forward(self):
+        # keeping the tape: 1.04x held, peak 2.01 [B, T, H] arrays above the
+        # forward; freeing as it goes: 0.04x and 1.32
+        batch, seq_len, hidden = 32, 100, 100
+        model, _ = build_model(RAE, seq_len=seq_len, sigma=1.0)
+        assert model.decoder.hidden_size == hidden
+        x = Tensor(np.random.default_rng(12).uniform(-1, 1, (batch, seq_len, 1)))
+        forward_end, held, peak = self.traced_backward(lambda: mse_loss(model.forward(x), x))
+        state_bytes = batch * seq_len * hidden * 8
+        assert held <= 0.25 * forward_end
+        assert peak - forward_end <= 1.5 * state_bytes
+
+    def test_gru_backward_frees_each_steps_gates_as_it_goes(self):
+        # z, r and the candidate take three [B, T, H] arrays, the input
+        # gradients the backward builds one more. Dropping each step's gates
+        # once it has replayed peaks 1.31 arrays above the forward (sum_all's
+        # gradient is one); keeping them to the end of the record peaks 2.33.
+        batch, length, hidden = 16, 100, 40
+        layer = GRULayer(hidden, hidden, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        xs = [Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=True) for _ in range(length)]
+        h0 = Tensor(np.zeros((batch, hidden)))
+        forward_end, _, peak = self.traced_backward(lambda: sum_all(gru_forward(layer, xs, h0)))
+        assert peak - forward_end <= 1.5 * batch * length * hidden * 8
 
 
 def _gru():

@@ -1,5 +1,8 @@
 """Autodiff core: op semantics, tape mechanics, gradient accumulation."""
 
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,12 +12,14 @@ from raeslab.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    accumulate_grad,
     add,
     backward,
     linear,
     matmul,
     mean_all,
     mul,
+    record_op,
     reshape,
     sigmoid,
     sub,
@@ -23,6 +28,7 @@ from raeslab.tensor import (
     take_step,
     tanh_op,
     unstack_steps,
+    zero_grads,
 )
 
 
@@ -206,16 +212,46 @@ class TestBackward:
         assert loss.grad is None
         assert x.grad.tolist() == [18.0, -36.0, 54.0]
 
-    def test_second_backward_adds_leaf_gradient_once_more(self):
+    def test_second_backward_on_spent_tape_raises(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
         w = Tensor([0.5, 0.25, -1.5], requires_grad=True)
         with Tape() as tape:
             loss = sum_all(mul(tanh_op(mul(x, 3.0)), w))
             backward(tape, loss)
+            grads = x.grad, w.grad
             first_x, first_w = x.grad.copy(), w.grad.copy()
+            with pytest.raises(GraphError, match="spent tape"):
+                backward(tape, loss)
+        assert x.grad is grads[0] and w.grad is grads[1]
+        assert np.array_equal(x.grad, first_x)
+        assert np.array_equal(w.grad, first_w)
+        assert loss.grad is None
+
+    def test_op_names_survive_backward(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(tanh_op(mul(x, 3.0)), x))
+            before = tape.op_names()
             backward(tape, loss)
-        assert np.array_equal(x.grad, 2.0 * first_x)
-        assert np.array_equal(w.grad, 2.0 * first_w)
+        assert tape.op_names() == before == ["mul", "tanh", "mul", "sum_all"]
+        assert len(tape) == 4
+
+    def test_replayed_closure_and_its_saved_array_are_freed(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        saved = np.array([3.0, -4.0])
+        ref = weakref.ref(saved)
+
+        def back(g, saved=saved):
+            accumulate_grad(x, g * saved)
+
+        with Tape() as tape:
+            loss = sum_all(record_op("scale", x.data * saved, (x,), back))
+        del saved, back
+        assert ref() is not None
+        backward(tape, loss)
+        assert ref() is None
+        assert tape.op_names() == ["scale", "sum_all"]
+        assert x.grad.tolist() == [3.0, -4.0]
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -246,6 +282,51 @@ class TestBackward:
             return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+
+class TestGradientAdoption:
+    """A fresh gradient array becomes an input's first ``grad`` as it is; the
+    gradients of distinct inputs never share a buffer."""
+
+    CASES = {
+        "add": (add, [(3, 4), (3, 4)]),
+        "sub": (sub, [(3, 4), (3, 4)]),
+        "mul": (mul, [(3, 4), (3, 4)]),
+        "matmul": (matmul, [(3, 4), (4, 2)]),
+        "linear": (linear, [(2, 3, 4), (5, 4), (5,)]),
+    }
+
+    @pytest.mark.parametrize("op", sorted(CASES))
+    def test_grads_share_no_memory_and_repeat_bit_for_bit(self, op):
+        fn, shapes = self.CASES[op]
+        rng = np.random.default_rng(31)
+        inputs = [Tensor(rng.uniform(-2, 2, s), requires_grad=True) for s in shapes]
+        g = rng.uniform(-1, 1, fn(*inputs).shape)
+
+        def grads():
+            zero_grads(inputs)
+            with Tape() as tape:
+                backward(tape, _loss_with_upstream(fn(*inputs), g))
+            return [t.grad for t in inputs]
+
+        first = grads()
+        arrays = first + [g] + [t.data for t in inputs]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        snapshot = [a.copy() for a in first]
+        second = grads()
+        for before, a, b in zip(snapshot, first, second):
+            assert not np.shares_memory(a, b)
+            assert a.tobytes() == before.tobytes() == b.tobytes()
+
+    def test_aliased_add_gives_exactly_twice_the_upstream_gradient(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)
+        g = rng.uniform(-1, 1, (4, 3))
+        with Tape() as tape:
+            backward(tape, _loss_with_upstream(add(x, x), g))
+        assert np.array_equal(x.grad, 2.0 * g)
+        assert not np.shares_memory(x.grad, g)
 
 
 class TestFiniteDifferencesPerOp:
