@@ -11,7 +11,7 @@ Run with:  python3 demos/04_feasibility_and_reports.py
 import tempfile
 from pathlib import Path
 
-from raeslab import ContextSpec, ExperimentConfig, ModelVariant, run_experiment
+from raeslab import ContextSpec, ExperimentConfig, ModelVariant, run_experiment, write_report
 from raeslab.models import context_size_from_sigma, infeasibility_reason
 
 SEQ_LEN = 200
@@ -39,9 +39,8 @@ with tempfile.TemporaryDirectory(prefix="raes-demo-") as tmp:
         n_sequences=60,
         batch_size=12,
         seed=0,
-        out_dir=out,
     )
-    run_experiment(cfg)
+    write_report(run_experiment(cfg), out)
     for path in sorted(out.iterdir()):
         print(f"\n--- {path.name} ---")
         print(path.read_text(), end="")

@@ -49,7 +49,7 @@ from .models import (
     stretch_context,
     transform_context,
 )
-from .optim import AdamState, TrainingError, adam_step, mse_loss
+from .optim import AdamState, TrainingError, mse_loss
 from .data import Dataset, SignalConfig, batches, generate_dataset, shuffle_split
 from .harness import (
     EpochRecord,

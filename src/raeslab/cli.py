@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args, variants, features: int, sigma: float, out_dir: Path | None) -> ExperimentConfig:
+def _experiment_config(args, variants, features: int, sigma: float) -> ExperimentConfig:
     return ExperimentConfig(
         variants=variants,
         n_features=features,
@@ -82,14 +82,13 @@ def _experiment_config(args, variants, features: int, sigma: float, out_dir: Pat
         components_per_feature=args.components_per_feature,
         lr=args.lr,
         decoder_hidden=args.decoder_hidden,
-        out_dir=out_dir,
     )
 
 
 def _cmd_run(args) -> int:
     variants = _variants(args.model, args.kernel_size, args.pool_size, args.pool_stride)
-    cfg = _experiment_config(args, variants, args.features, args.sigma, args.out)
-    results = run_experiment(cfg)
+    results = run_experiment(_experiment_config(args, variants, args.features, args.sigma))
+    write_report(results, args.out)
     for res in results:
         if res.skipped:
             print(f"{res.variant.kind}: skipped ({res.skipped_reason})")
@@ -103,12 +102,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _grid_axis(arg: str, flag: str, convert) -> list:
+    values = [convert(x) for x in arg.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"{flag} lists no values; name at least one")
+    return values
+
+
 def _cmd_grid(args) -> int:
     variants = _variants(args.models, args.kernel_size, args.pool_size, args.pool_stride)
-    features = [int(x) for x in args.features.split(",") if x.strip()]
-    sigmas = [float(x) for x in args.sigmas.split(",") if x.strip()]
+    features = _grid_axis(args.features, "--features", int)
+    sigmas = _grid_axis(args.sigmas, "--sigmas", float)
     # every cell's config is built, and so checked, before the first one trains
-    cells = [_experiment_config(args, variants, nf, sigma, None) for nf in features for sigma in sigmas]
+    cells = [_experiment_config(args, variants, nf, sigma) for nf in features for sigma in sigmas]
     tags = [cell_tag(cfg.n_features, cfg.sigma) for cfg in cells]
     for tag in tags:
         if tags.count(tag) > 1:

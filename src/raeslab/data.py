@@ -50,14 +50,6 @@ class Dataset:
     def n_sequences(self) -> int:
         return self.sequences.shape[0]
 
-    @property
-    def seq_len(self) -> int:
-        return self.sequences.shape[1]
-
-    @property
-    def n_features(self) -> int:
-        return self.sequences.shape[2]
-
 
 def generate_dataset(cfg: SignalConfig) -> Dataset:
     """Draw the signal collection; deterministic in the config's seed.

@@ -52,7 +52,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(err.max()) if err.size else 0.0
 
 
-def check_gradients(build_loss, tensors, step: float = STEP) -> float:
+def check_gradients(build_loss, tensors) -> float:
     """Worst relative error between tape and central-difference gradients.
 
     ``build_loss`` must return a scalar Tensor computed from the current
@@ -71,12 +71,12 @@ def check_gradients(build_loss, tensors, step: float = STEP) -> float:
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + step
+            flat[i] = keep + STEP
             up = float(build_loss().data)
-            flat[i] = keep - step
+            flat[i] = keep - STEP
             down = float(build_loss().data)
             flat[i] = keep
-            numeric[i] = (up - down) / (2.0 * step)
+            numeric[i] = (up - down) / (2.0 * STEP)
         worst = max(worst, max_relative_error(ga.reshape(-1), numeric))
     return worst
 

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 RECORD_FIELDS = ("epoch", "epoch_wall_time_s", "cumulative_time_s", "train_mse", "val_mse")
+SUMMARY_FIELDS = ("features", "sigma", "variant", "median_epoch_time_s", "final_val_mse", "epochs_run", "skipped_reason")
 
 
 @dataclass
@@ -72,7 +73,6 @@ class ExperimentConfig:
     components_per_feature: int = 3
     lr: float = 1e-3
     decoder_hidden: int | None = None
-    out_dir: Path | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -206,10 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[VariantResult]:
     )
     dataset = shuffle_split(generate_dataset(data_cfg), derive_seed(cfg.seed, "split"))
     context = ContextSpec.autoencoding(cfg.seq_len, cfg.n_features, cfg.sigma)
-    results = [_run_variant(cfg, context, dataset, v) for v in cfg.variants]
-    if cfg.out_dir is not None:
-        write_report(results, cfg.out_dir)
-    return results
+    return [_run_variant(cfg, context, dataset, v) for v in cfg.variants]
 
 
 def median_epoch_time(records: list[EpochRecord]) -> float:
@@ -232,6 +229,21 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
+def _summary_row(res: VariantResult) -> list:
+    head = [res.context.n_features, _fmt(res.context.sigma), res.variant.kind]
+    if res.skipped:
+        return head + ["", "", 0, res.skipped_reason]
+    return head + [_fmt(median_epoch_time(res.records)), _fmt(res.records[-1].val_mse), len(res.records), ""]
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """One header line, then one line per row, each ending in a bare newline."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report(results: list[VariantResult], out_dir) -> None:
     """Per-variant epoch CSVs plus a machine summary CSV and an aligned text table.
 
@@ -244,39 +256,13 @@ def write_report(results: list[VariantResult], out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     for res in results:
-        if res.skipped:
-            continue
-        with (out / records_csv_name(res)).open("w", newline="") as fh:
-            fh.write(",".join(RECORD_FIELDS) + "\n")
-            for r in res.records:
-                fh.write(
-                    f"{r.epoch},{_fmt(r.epoch_wall_time_s)},{_fmt(r.cumulative_time_s)},"
-                    f"{_fmt(r.train_mse)},{_fmt(r.val_mse)}\n"
-                )
-
-    with (out / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["features", "sigma", "variant", "median_epoch_time_s", "final_val_mse", "epochs_run", "skipped_reason"]
-        )
-        for res in results:
-            if res.skipped:
-                writer.writerow(
-                    [res.context.n_features, _fmt(res.context.sigma), res.variant.kind, "", "", 0, res.skipped_reason]
-                )
-            else:
-                writer.writerow(
-                    [
-                        res.context.n_features,
-                        _fmt(res.context.sigma),
-                        res.variant.kind,
-                        _fmt(median_epoch_time(res.records)),
-                        _fmt(res.records[-1].val_mse),
-                        len(res.records),
-                        "",
-                    ]
-                )
-
+        if not res.skipped:
+            rows = (
+                [r.epoch, _fmt(r.epoch_wall_time_s), _fmt(r.cumulative_time_s), _fmt(r.train_mse), _fmt(r.val_mse)]
+                for r in res.records
+            )
+            _write_csv(out / records_csv_name(res), RECORD_FIELDS, rows)
+    _write_csv(out / "summary.csv", SUMMARY_FIELDS, (_summary_row(res) for res in results))
     (out / "summary.txt").write_text(format_summary_table(results))
 
 

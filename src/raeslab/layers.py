@@ -222,21 +222,19 @@ def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
         for c in range(channels):
             out += xs[:, :, c, None] * w[:, kk, c]
 
-    def back(g, seq=seq, layer=layer, x3=x3, k=k, out_len=out_len):
-        if layer.b.requires_grad:
-            accumulate_grad(layer.b, g.sum(axis=(0, 1)))
-        if layer.w.requires_grad:
-            gw = np.empty_like(layer.w.data)
-            for kk in range(k):
-                gw[:, kk, :] = np.tensordot(g, x3[:, kk : kk + out_len, :], axes=([0, 1], [0, 1]))
-            accumulate_grad(layer.w, gw)
-        if seq.requires_grad:
-            gx = np.zeros_like(x3)
-            for kk in range(k):
-                gx[:, kk : kk + out_len, :] += g @ layer.w.data[:, kk, :]
-            accumulate_grad(seq, gx)
+    def grad_w(g):
+        gw = np.empty_like(w)
+        for kk in range(k):
+            gw[:, kk, :] = np.tensordot(g, x3[:, kk : kk + out_len, :], axes=([0, 1], [0, 1]))
+        return gw
 
-    return record_op("conv1d", out, (seq, layer.w, layer.b), back)
+    def grad_seq(g):
+        gx = np.zeros_like(x3)
+        for kk in range(k):
+            gx[:, kk : kk + out_len, :] += g @ w[:, kk, :]
+        return gx
+
+    return _record("conv1d", out, (layer.b, lambda g: g.sum(axis=(0, 1))), (layer.w, grad_w), (seq, grad_seq))
 
 
 def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:

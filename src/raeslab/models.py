@@ -131,11 +131,6 @@ class ContextSpec:
         """Context length: round(sigma * n_features * seq_len)."""
         return context_size_from_sigma(self.sigma, self.n_features, self.seq_len)
 
-    @property
-    def step_features(self) -> int | None:
-        """Features per step after the even reshape (None when indivisible)."""
-        return raes_feasible(self.context_size, self.seq_len)
-
 
 def transform_context(context: Tensor, seq_len: int) -> Tensor:
     """Reinterpret a [B, context_size] context as seq_len steps of contiguous feature chunks.
@@ -187,18 +182,12 @@ def stretch_context(context: Tensor, seq_len: int) -> Tensor:
     return reshape(out, (batch, seq_len, 1))
 
 
-def raesc_feature_len(context_size: int, kernel_size: int, pool_size: int, pool_stride: int) -> int:
-    """Decoder step feature count after convolution and pooling of the context."""
-    conv_len = context_size - kernel_size + 1
-    return (conv_len - pool_size) // pool_stride + 1
-
-
 def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
     """Per-step decoder input size for a variant, or raise if it cannot apply."""
     if variant.kind == RAE:
         return context.context_size
     if variant.kind == RAES:
-        lam = context.step_features
+        lam = raes_feasible(context.context_size, context.seq_len)
         if lam is None:
             raise ValueError(
                 f"context size {context.context_size} is not a multiple of "
@@ -212,9 +201,9 @@ def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
                 f"context size {context.context_size} too small for kernel "
                 f"{variant.kernel_size} and pool {variant.pool_size}; needs at least {minimum}"
             )
-        return raesc_feature_len(
-            context.context_size, variant.kernel_size, variant.pool_size, variant.pool_stride
-        )
+        # features per step: the pooled length of the convolved context
+        conv_len = context.context_size - variant.kernel_size + 1
+        return (conv_len - variant.pool_size) // variant.pool_stride + 1
     # RAES_STRETCH, the last kind ModelVariant admits
     if context.context_size > context.seq_len:
         raise ValueError(

@@ -16,8 +16,6 @@ through the private ``_record``; one with any other backward (the scatter of
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 __all__ = [
@@ -102,11 +100,11 @@ class Tape:
         self._records: list[tuple[str, Tensor | None, object]] = []
 
     def __enter__(self) -> "Tape":
-        _tapes().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _tapes().pop()
+        _TAPES.pop()
         return False
 
     def __len__(self) -> int:
@@ -116,21 +114,13 @@ class Tape:
         return [name for name, _, _ in self._records]
 
 
-_LOCAL = threading.local()
-
-
-def _tapes() -> list[Tape]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+# open tapes, innermost last
+_TAPES: list[Tape] = []
 
 
 def active_tape() -> Tape | None:
-    """The innermost open tape on this thread, or None in evaluation mode."""
-    stack = _tapes()
-    return stack[-1] if stack else None
+    """The innermost open tape, or None in evaluation mode."""
+    return _TAPES[-1] if _TAPES else None
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:

@@ -31,7 +31,7 @@ from raeslab.models import (
     raes_feasible,
     transform_context,
 )
-from raeslab.optim import AdamState, adam_step
+from raeslab.optim import AdamState
 from raeslab.tensor import Tensor
 
 from test_layers import naive_conv1d, naive_maxpool
@@ -231,7 +231,7 @@ def test_criterion_7_adam_sanity():
     p = Tensor(np.array([0.0]), requires_grad=True, name="p")
     state = AdamState([p])
     p.grad = np.array([1.0])
-    adam_step(state)
+    state.step()
     first_ok = abs(p.data[0] + state.lr) < 1e-8
 
     theta = 1.0
@@ -251,7 +251,7 @@ def test_criterion_7_adam_sanity():
     q_below = None
     for t in range(1, 2204):
         q.grad = 2.0 * q.data
-        adam_step(qstate)
+        qstate.step()
         if abs(q.data[0]) < 0.01:
             q_below = t
             break

@@ -167,6 +167,23 @@ class TestGrid:
         assert "features=" not in proc.stdout
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--features", ","), ("--features", ""), ("--sigmas", ","), ("--sigmas", "")],
+    )
+    def test_empty_axis_is_named(self, tmp_path, flag, value):
+        out = tmp_path / "grid"
+        proc = raes_lab(
+            "grid", "--features", "1", "--sigmas", "1.0", flag, value, "--models", "rae",
+            "--seq-len", "8", "--epochs", "1", "--n-sequences", "20", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("raes-lab: error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert flag in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_passes_with_exit_zero(self):

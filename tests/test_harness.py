@@ -19,7 +19,8 @@ from raeslab.harness import (
     write_report,
 )
 from raeslab.models import AutoencoderModel, ContextSpec, ModelVariant
-from raeslab.optim import AdamState
+from raeslab.optim import AdamState, TrainingError
+from raeslab.tensor import Tensor, active_tape
 
 
 def tiny_cfg(**kw):
@@ -75,6 +76,17 @@ class TestTrainEpoch:
         with pytest.raises(ValueError, match="train split is empty"):
             train_epoch(model, flat_dataset(1, 6, 1), adam, batch_size=8)
         assert adam.t == 0
+
+    def test_divergence_leaves_no_tape_open(self):
+        # the non-finite loss raises inside train_epoch's `with Tape()`
+        model = tiny_model()
+        model.head.b.data[:] = np.inf
+        ds = flat_dataset(30, 6, 1)
+        adam = AdamState(model.parameters())
+        with pytest.raises(TrainingError, match="non-finite training loss"):
+            train_epoch(model, ds, adam, batch_size=8)
+        assert active_tape() is None
+        assert not model.forward(Tensor(ds.sequences[:2])).requires_grad
 
     def test_validation_mutates_nothing(self):
         model = tiny_model()
@@ -253,6 +265,23 @@ class TestWriteReport:
         write_report(fabricated_results(features=(1,), sigmas=(1.0,)), tmp_path)
         head = (tmp_path / "summary.txt").read_text().splitlines()[:3]
         assert any("training pass only" in ln for ln in head)
+
+    def test_every_line_ends_in_a_bare_newline(self, tmp_path):
+        results = fabricated_results(features=(1,), sigmas=(0.25, 1.0))
+        write_report(results, tmp_path)
+        written = sorted(tmp_path.iterdir())
+        assert {p.name for p in written} >= {"summary.csv", "summary.txt"}
+        for path in written:
+            data = path.read_bytes()
+            assert b"\r" not in data, path.name
+            assert data.endswith(b"\n"), path.name
+        # the per-epoch CSVs keep their byte layout
+        res = next(r for r in results if not r.skipped)
+        expected = "epoch,epoch_wall_time_s,cumulative_time_s,train_mse,val_mse\n" + "".join(
+            f"{r.epoch},{r.epoch_wall_time_s:.9g},{r.cumulative_time_s:.9g},{r.train_mse:.9g},{r.val_mse:.9g}\n"
+            for r in res.records
+        )
+        assert (tmp_path / records_csv_name(res)).read_text() == expected
 
     def test_empty_results_rejected(self, tmp_path):
         with pytest.raises(ValueError):

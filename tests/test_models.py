@@ -21,7 +21,6 @@ from raeslab.models import (
     encode_context,
     infeasibility_reason,
     raes_feasible,
-    raesc_feature_len,
     stretch_context,
     transform_context,
 )
@@ -215,9 +214,9 @@ class TestForwards:
 
     def test_raesc_decoder_input_shape_example(self):
         # context 50, kernel 3, pool 2/2 -> conv length 48, pooled 24, one step per filter
-        assert raesc_feature_len(50, 3, 2, 2) == 24
         variant = ModelVariant(RAESC, kernel_size=3, pool_size=2, pool_stride=2)
         spec = ContextSpec.autoencoding(seq_len=200, n_features=1, sigma=0.25)
+        assert decoder_input_features(variant, spec) == 24
         model = AutoencoderModel.build(variant, spec, np.random.default_rng(0))
         context = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 50)))
         steps = decoder_input_steps(model, context)
@@ -226,7 +225,7 @@ class TestForwards:
 
     def test_raesc_works_where_raes_cannot(self):
         spec = ContextSpec.autoencoding(seq_len=200, n_features=1, sigma=0.25)
-        assert spec.step_features is None
+        assert raes_feasible(spec.context_size, spec.seq_len) is None
         variant = ModelVariant(RAESC)
         model = AutoencoderModel.build(variant, spec, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 200, 1)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from raeslab.optim import AdamState, TrainingError, adam_step, mse_loss
+from raeslab.optim import AdamState, TrainingError, mse_loss
 from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, sum_all
 
 
@@ -38,7 +38,7 @@ class TestAdam:
         p = fresh_param([0.0])
         state = AdamState([p])
         p.grad = np.array([1.0])
-        adam_step(state)
+        state.step()
         delta = p.data[0] - 0.0
         assert abs(delta + state.lr) < 1e-8
 
@@ -46,7 +46,7 @@ class TestAdam:
         p = fresh_param([0.7, -0.3])
         state = AdamState([p])
         p.grad = np.zeros(2)
-        adam_step(state)
+        state.step()
         assert p.data.tolist() == [0.7, -0.3]
 
     @pytest.mark.parametrize("scale", [0.5, 3.0, 100.0])
@@ -54,7 +54,7 @@ class TestAdam:
         p = fresh_param([0.0])
         state = AdamState([p])
         p.grad = np.array([scale])
-        adam_step(state)
+        state.step()
         assert abs(abs(p.data[0]) - state.lr) < 1e-6
         assert p.data[0] < 0.0
 
@@ -69,7 +69,7 @@ class TestAdam:
             with Tape() as tape:
                 theta.grad = None
                 backward(tape, sum_all(mul(theta, theta)))
-            adam_step(state)
+            state.step()
             if abs(theta.data[0]) < 0.01:
                 first_below = t
                 break
@@ -84,7 +84,7 @@ class TestAdam:
             g = rng.uniform(-2.0, 2.0, 4)
             seen = max(seen, float(np.abs(g).max()))
             p.grad = g
-            adam_step(state)
+            state.step()
             assert np.all(np.abs(state.m[0]) <= seen + 1e-12)
             assert np.all(state.v[0] >= 0.0)
 
@@ -96,25 +96,25 @@ class TestAdam:
         with Tape() as tape:
             backward(tape, sum_all(mul(a, a)))
         b.grad = a.grad.copy()
-        adam_step(sa)
-        adam_step(sb)
+        sa.step()
+        sb.step()
         assert np.array_equal(a.data, b.data)
 
     def test_missing_gradient_identifies_parameter(self):
         p = fresh_param([1.0])
         with pytest.raises(TrainingError, match="theta"):
-            adam_step(AdamState([p]))
+            AdamState([p]).step()
 
     def test_non_finite_gradient_identifies_parameter(self):
         p = fresh_param([1.0])
         p.grad = np.array([np.nan])
         with pytest.raises(TrainingError, match="theta"):
-            adam_step(AdamState([p]))
+            AdamState([p]).step()
 
     def test_step_counter_increments_by_one(self):
         p = fresh_param([1.0])
         state = AdamState([p])
         for expected in (1, 2, 3):
             p.grad = np.array([0.1])
-            adam_step(state)
+            state.step()
             assert state.t == expected

@@ -13,6 +13,7 @@ from raeslab.tensor import (
     Tape,
     Tensor,
     accumulate_grad,
+    active_tape,
     add,
     backward,
     linear,
@@ -282,6 +283,21 @@ class TestBackward:
             return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+
+class TestTapeStack:
+    def test_nested_tape_records_into_the_innermost_only(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as outer:
+            mul(x, 2.0)
+            with Tape() as inner:
+                assert active_tape() is inner
+                add(x, 1.0)
+            assert active_tape() is outer
+            sum_all(x)
+        assert active_tape() is None
+        assert outer.op_names() == ["mul", "sum_all"]
+        assert inner.op_names() == ["add"]
 
 
 class TestGradientAdoption:
