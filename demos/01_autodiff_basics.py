@@ -5,9 +5,8 @@ Run with:  python3 demos/01_autodiff_basics.py
 
 import numpy as np
 
-from raeslab import Tape, Tensor, backward, matmul, mean_all, mul, sigmoid, tanh_op
 from raeslab.gradcheck import check_gradients
-from raeslab.tensor import add
+from raeslab.tensor import Tape, Tensor, add, backward, matmul, mean_all, mul, sigmoid, tanh_op
 
 # Tensors wrap row-major float64 arrays. Only tensors created with
 # requires_grad=True (parameters) collect gradients.

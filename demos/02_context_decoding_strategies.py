@@ -18,17 +18,19 @@ Run with:  python3 demos/02_context_decoding_strategies.py
 
 import numpy as np
 
-from raeslab import (
+from raeslab.models import (
     AutoencoderModel,
     ContextSpec,
     ModelVariant,
-    Tensor,
     context_size_from_sigma,
+    decoder_input_steps,
+    encode_context,
+    infeasibility_reason,
     raes_feasible,
     stretch_context,
     transform_context,
 )
-from raeslab.models import decoder_input_steps, encode_context, infeasibility_reason
+from raeslab.tensor import Tensor
 
 # The context transforms on a small hand-made vector first, as a batch of one.
 context = Tensor(np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]))

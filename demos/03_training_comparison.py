@@ -7,7 +7,8 @@ the plain repeat-context baseline within a few epochs.
 Run with:  python3 demos/03_training_comparison.py   (about a minute)
 """
 
-from raeslab import ExperimentConfig, ModelVariant, median_epoch_time, run_experiment
+from raeslab.harness import ExperimentConfig, median_epoch_time, run_experiment
+from raeslab.models import ModelVariant
 
 cfg = ExperimentConfig(
     variants=[ModelVariant("rae"), ModelVariant("raes"), ModelVariant("raesc")],

@@ -11,8 +11,8 @@ Run with:  python3 demos/04_feasibility_and_reports.py
 import tempfile
 from pathlib import Path
 
-from raeslab import ContextSpec, ExperimentConfig, ModelVariant, run_experiment, write_report
-from raeslab.models import context_size_from_sigma, infeasibility_reason
+from raeslab.harness import ExperimentConfig, run_experiment, write_report
+from raeslab.models import ContextSpec, ModelVariant, context_size_from_sigma, infeasibility_reason
 
 SEQ_LEN = 200
 print(f"feasibility over the benchmark grid (sequence length {SEQ_LEN}):")

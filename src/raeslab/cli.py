@@ -85,7 +85,16 @@ def _experiment_config(args, variants, features: int, sigma: float) -> Experimen
     )
 
 
+def _check_out(out: Path) -> None:
+    """Fail before any training if the report directory cannot be made."""
+    # a dangling symlink exists for mkdir too
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+
+
 def _cmd_run(args) -> int:
+    _check_out(args.out)
     variants = _variants(args.model, args.kernel_size, args.pool_size, args.pool_stride)
     results = run_experiment(_experiment_config(args, variants, args.features, args.sigma))
     write_report(results, args.out)
@@ -103,13 +112,19 @@ def _cmd_run(args) -> int:
 
 
 def _grid_axis(arg: str, flag: str, convert) -> list:
-    values = [convert(x) for x in arg.split(",") if x.strip()]
+    values = []
+    for x in filter(str.strip, arg.split(",")):
+        try:
+            values.append(convert(x))
+        except ValueError:
+            raise ValueError(f"{flag}: invalid {convert.__name__} value {x.strip()!r}") from None
     if not values:
         raise ValueError(f"{flag} lists no values; name at least one")
     return values
 
 
 def _cmd_grid(args) -> int:
+    _check_out(args.out)
     variants = _variants(args.models, args.kernel_size, args.pool_size, args.pool_stride)
     features = _grid_axis(args.features, "--features", int)
     sigmas = _grid_axis(args.sigmas, "--sigmas", float)

@@ -186,24 +186,13 @@ def _check_transpose(rng) -> float:
     return check_gradients(build, [seq])
 
 
-def _toy_context(kind: str, rng) -> tuple[models.ModelVariant, models.ContextSpec]:
-    if kind == models.RAE:
-        variant = models.ModelVariant(models.RAE)
-        spec = models.ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=1.25)
-    elif kind == models.RAES:
-        variant = models.ModelVariant(models.RAES)
-        spec = models.ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=2.0)
-    elif kind == models.RAESC:
-        variant = models.ModelVariant(models.RAESC, kernel_size=2, pool_size=2, pool_stride=2)
-        spec = models.ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=1.5)
-    else:
-        variant = models.ModelVariant(models.RAES_STRETCH)
-        spec = models.ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=0.75)
-    return variant, spec
+# context ratio of each variant's toy model over 4 univariate steps
+_TOY_SIGMAS = {models.RAE: 1.25, models.RAES: 2.0, models.RAESC: 1.5, models.RAES_STRETCH: 0.75}
 
 
 def _check_model(kind: str, rng) -> float:
-    variant, spec = _toy_context(kind, rng)
+    variant = models.ModelVariant(kind, kernel_size=2)
+    spec = models.ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=_TOY_SIGMAS[kind])
     model = models.AutoencoderModel.build(variant, spec, rng)
     x = Tensor(rng.uniform(-1.0, 1.0, size=(2, spec.seq_len, spec.n_features)))
     target = rng.uniform(-1.0, 1.0, size=(2, spec.seq_len, spec.n_features))
@@ -226,11 +215,7 @@ def default_suite(instances: int = 10, seed: int = 2024) -> list[CheckResult]:
         ("conv1d", _check_conv1d),
         ("maxpool1d", _check_maxpool),
         ("transpose", _check_transpose),
-        ("rae-full", lambda r: _check_model(models.RAE, r)),
-        ("raes-full", lambda r: _check_model(models.RAES, r)),
-        ("raesc-full", lambda r: _check_model(models.RAESC, r)),
-        ("raes-stretch-full", lambda r: _check_model(models.RAES_STRETCH, r)),
-    ]
+    ] + [(f"{kind}-full", lambda r, kind=kind: _check_model(kind, r)) for kind in _TOY_SIGMAS]
     results = []
     for name, fn in named:
         worst = 0.0

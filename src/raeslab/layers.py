@@ -265,9 +265,11 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
 
     def grad_seq(g):
         gx = np.zeros_like(x3)
-        # np.add.at adds in (b, j, c) order, so overlapping windows sum in j order
-        b, j, c = np.ogrid[: argmax.shape[0], : argmax.shape[1], : argmax.shape[2]]
-        np.add.at(gx, (b, j * s + argmax, c), g)
+        # one strided add per window offset; an input shared by overlapping
+        # windows is hit by larger offsets from earlier windows, so walking the
+        # offsets down sums its gradients in window order
+        for k in range(p - 1, -1, -1):
+            gx[:, k : k + stop : s] += np.where(argmax == k, g, 0.0)
         return gx
 
     return _record("maxpool1d", out, (seq, grad_seq))

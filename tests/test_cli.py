@@ -169,7 +169,10 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--features", ","), ("--features", ""), ("--sigmas", ","), ("--sigmas", "")],
+        [
+            ("--features", ","), ("--features", ""), ("--sigmas", ","), ("--sigmas", ""),
+            ("--features", "1,abc"), ("--sigmas", "1.0,half"),
+        ],
     )
     def test_empty_axis_is_named(self, tmp_path, flag, value):
         out = tmp_path / "grid"
@@ -183,6 +186,30 @@ class TestGrid:
         assert flag in proc.stderr
         assert proc.stdout == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--model", "rae", *BASE_RUN],
+        ["grid", "--features", "1", "--sigmas", "1.0", "--models", "rae", "--seq-len", "8", "--n-sequences", "20"],
+    ],
+    ids=["run", "grid"],
+)
+@pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling-link"])
+def test_out_under_a_file_fails_before_any_training(tmp_path, command, under, dangling):
+    blocker = tmp_path / "taken"
+    if dangling:
+        blocker.symlink_to(tmp_path / "gone")
+    else:
+        blocker.write_text("keep\n")
+    proc = raes_lab(*command, "--out", str(blocker / under))
+    assert proc.returncode == 2
+    assert proc.stderr == f"raes-lab: error: --out {blocker / under}: {blocker} is not a directory\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "gone").exists()
+    assert dangling or blocker.read_text() == "keep\n"
 
 
 class TestGradcheckCommand:

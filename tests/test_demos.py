@@ -10,18 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_demo(name, tmp_path):
+def run_python(args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # demo 04 writes its report into a temporary directory under TMPDIR
     env["TMPDIR"] = str(tmp_path)
-    return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path)
+
+
+def run_demo(name, tmp_path):
+    return run_python([str(ROOT / "demos" / name)], tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -37,3 +35,11 @@ def test_demo_exits_zero(name, tmp_path):
     proc = run_demo(name, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.glob("raes-demo-*")), "a demo left its temporary directory behind"
+
+
+def test_package_root_holds_no_public_name(tmp_path):
+    # demos import every name from the module that defines it; the root re-exports none
+    code = "import raeslab; print(sorted(n for n in vars(raeslab) if not n.startswith('_')), raeslab.__version__)"
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0.1.0\n"
