@@ -151,6 +151,9 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        # numpy seeds take non-negative integers only
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     results = default_suite(instances=args.instances, seed=args.seed)
     failed = False
     for res in results:

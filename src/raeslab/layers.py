@@ -245,7 +245,8 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     if seq.ndim != 3:
         raise ShapeError(f"maxpool1d_forward needs [batch, length, channels], got {seq.shape}")
     x3 = seq.data
-    length = x3.shape[1]
+    shape = x3.shape
+    length = shape[1]
     p, s = pool.pool_size, pool.stride
     if length < p:
         raise ShapeError(f"maxpool1d_forward sequence length {length} shorter than pool size {p}")
@@ -264,7 +265,8 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
         argmax = np.where(take, k, argmax)
 
     def grad_seq(g):
-        gx = np.zeros_like(x3)
+        # reads the input's shape and the argmax, not the input
+        gx = np.zeros(shape)
         # one strided add per window offset; an input shared by overlapping
         # windows is hit by larger offsets from earlier windows, so walking the
         # offsets down sums its gradients in window order

@@ -5,9 +5,17 @@ convolution stack and an MSE head need. ``take_step`` and ``unstack_steps``
 split a sequence [..., T, m] into steps, one ``step`` record each. Values
 live in row-major (C-contiguous) numpy float64 arrays; gradients are arrays
 of the same shape, allocated lazily during the backward pass and accumulated
-additively across fan-out. The backward frees memory as it goes: once a
-record has replayed, its closure, the activations that closure saved and its
-output's gradient are released; leaves keep their gradients.
+additively across fan-out.
+
+The tape keeps gradients, not values. Every tensor owns a ``GradSlot`` (its
+shape and ``grad``); tape records and ``_record`` terms hold slots, and a
+backward closure keeps a value only where its backward reads it (``mul``
+keeps the other operand for each input's gradient, ``reshape`` only its
+input's shape). A forward value no backward reads is freed as soon as its
+caller drops the tensor. The backward
+frees memory as it goes: once a record has replayed, its closure, the
+activations that closure saved and its output's gradient are released;
+leaves keep their gradients.
 
 An op whose backward adds one independent term into each input records
 through the private ``_record``; one with any other backward (the scatter of
@@ -20,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "GradSlot",
     "Tape",
     "ShapeError",
     "GraphError",
@@ -52,22 +61,41 @@ class GraphError(RuntimeError):
     """Invalid use of the tape, e.g. backward from a non-scalar node."""
 
 
+class GradSlot:
+    """Where a tensor's gradient accumulates: its shape and ``grad``, not its value."""
+
+    __slots__ = ("shape", "grad")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """A dense float64 array with an optional gradient buffer.
 
     ``data`` is always C-contiguous, so the underlying buffer is the flat
     row-major value array and ``shape`` is pure metadata. ``grad``, when
-    present, matches ``data`` elementwise.
+    present, matches ``data`` elementwise. It lives in ``slot``, which tape
+    records hold instead of the tensor, so ``data`` can be freed first.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "slot", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         # np.asarray with order="C" keeps 0-d shapes (ascontiguousarray would not)
         self.data = np.asarray(data, dtype=np.float64, order="C")
-        self.grad: np.ndarray | None = None
+        self.slot = GradSlot(self.data.shape)
         self.requires_grad = bool(requires_grad)
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.slot.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,11 +121,12 @@ class Tape:
     topological order by construction. ``backward`` replays every record
     exactly once, in reverse insertion order, and leaves the tape spent: each
     record keeps only its op name, so ``len`` and ``op_names`` still
-    describe it, and a second ``backward`` raises ``GraphError``.
+    describe it, and a second ``backward`` raises ``GraphError``. A record
+    holds its output's ``GradSlot``, not the output tensor.
     """
 
     def __init__(self):
-        self._records: list[tuple[str, Tensor | None, object]] = []
+        self._records: list[tuple[str, GradSlot | None, object]] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -123,11 +152,11 @@ def active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to ``t``, allocating the buffer on first use."""
+def accumulate_grad(t: Tensor | GradSlot, g: np.ndarray) -> None:
+    """Add a gradient contribution to a tensor or its slot, allocating the buffer on first use."""
     if t.grad is None:
         # copy: g may alias a buffer the caller reuses, and may need broadcasting
-        t.grad = np.array(np.broadcast_to(g, t.data.shape))
+        t.grad = np.array(np.broadcast_to(g, t.shape))
     else:
         t.grad += g
 
@@ -137,14 +166,17 @@ def record_op(name: str, data: np.ndarray, inputs: tuple[Tensor, ...], backward_
 
     ``backward_fn`` receives the output gradient and must accumulate into each
     input that has ``requires_grad``. Nothing is recorded in evaluation mode
-    (no open tape) or when no input tracks gradients. Call it directly only
-    when the backward is not one independent term per input (a scatter into
-    part of an input, a fused kernel); otherwise use ``_record``.
+    (no open tape) or when no input tracks gradients. The tape keeps the
+    output's ``GradSlot``, not its value; ``backward_fn`` should likewise
+    close over an input's slot (or shape) unless its backward reads the
+    input's value. Call it directly only when the backward is not one
+    independent term per input (a scatter into part of an input, a fused
+    kernel); otherwise use ``_record``.
     """
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out = Tensor(data, requires_grad=True)
-        tape._records.append((name, out, backward_fn))
+        tape._records.append((name, out.slot, backward_fn))
         return out
     return Tensor(data)
 
@@ -167,11 +199,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise GraphError("backward over a spent tape: its records have already replayed")
     loss.grad = np.ones_like(loss.data)
     for i in range(len(records) - 1, -1, -1):
-        name, out, fn = records[i]
+        name, slot, fn = records[i]
         records[i] = (name, None, None)
-        g = out.grad
+        g = slot.grad
         if g is not None:
-            out.grad = None
+            slot.grad = None
             fn(g)
 
 
@@ -188,18 +220,21 @@ def _record(name: str, data: np.ndarray, *terms) -> Tensor:
     """Record an op from ``(input, grad_fn)`` pairs: its backward adds
     ``grad_fn(g)`` into each input that has ``requires_grad``, in the order given.
 
-    A fresh array (not ``g``, not a view, not a broadcast) becomes an input's
-    first gradient as it is; anything else is copied by ``accumulate_grad``.
+    The record holds the inputs' ``GradSlot``s, not the inputs: a ``grad_fn``
+    closes over an input's value only where it reads it, so an input no
+    backward reads is freed once its caller drops it. A fresh array (not
+    ``g``, not a view, not a broadcast) becomes an input's first gradient as
+    it is; anything else is copied by ``accumulate_grad``.
     """
+    slots = [(t.slot, grad_fn) for t, grad_fn in terms if t.requires_grad]
 
     def back(g):
-        for t, grad_fn in terms:
-            if t.requires_grad:
-                r = grad_fn(g)
-                if t.grad is None and r is not g and r.base is None and r.shape == t.data.shape and r.flags.writeable:
-                    t.grad = r
-                else:
-                    accumulate_grad(t, r)
+        for slot, grad_fn in slots:
+            r = grad_fn(g)
+            if slot.grad is None and r is not g and r.base is None and r.shape == slot.shape and r.flags.writeable:
+                slot.grad = r
+            else:
+                accumulate_grad(slot, r)
 
     return record_op(name, data, tuple([t for t, _ in terms]), back)
 
@@ -310,7 +345,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    return _record("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    in_shape = a.shape
+    return _record("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(in_shape)))
 
 
 def swap_last_axes(a: Tensor) -> Tensor:
@@ -324,13 +360,15 @@ def swap_last_axes(a: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     a = _as_tensor(a)
-    return _record("sum_all", np.asarray(a.data.sum()), (a, lambda g: np.broadcast_to(g, a.shape)))
+    shape = a.shape
+    return _record("sum_all", np.asarray(a.data.sum()), (a, lambda g: np.broadcast_to(g, shape)))
 
 
 def mean_all(a: Tensor) -> Tensor:
     """Mean of all elements, as a scalar tensor."""
     a = _as_tensor(a)
-    return _record("mean_all", np.asarray(a.data.mean()), (a, lambda g: np.broadcast_to(g / a.size, a.shape)))
+    shape, size = a.shape, a.size
+    return _record("mean_all", np.asarray(a.data.mean()), (a, lambda g: np.broadcast_to(g / size, shape)))
 
 
 def take_step(t: Tensor, i: int) -> Tensor:
@@ -339,12 +377,13 @@ def take_step(t: Tensor, i: int) -> Tensor:
     if t.ndim < 2:
         raise ShapeError(f"take_step needs at least 2 axes, got shape {t.shape}")
     idx = (slice(None),) * (t.ndim - 2) + (i,)
+    slot = t.slot
 
-    def back(g, t=t, idx=idx):
-        if t.requires_grad:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad[idx] += g
+    def back(g):
+        # recorded only when t requires grad, so the slot always takes the scatter
+        if slot.grad is None:
+            slot.grad = np.zeros(slot.shape)
+        slot.grad[idx] += g
 
     return record_op("step", t.data[idx], (t,), back)
 

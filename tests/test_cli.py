@@ -225,3 +225,9 @@ class TestGradcheckCommand:
         assert "PASS" not in proc.stdout
         assert proc.stderr.startswith("raes-lab: error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_negative_seed_is_named(self):
+        proc = raes_lab("gradcheck", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "raes-lab: error: --seed must be a non-negative integer, got -1\n"

@@ -268,7 +268,8 @@ class TestTapeRecords:
 
 
 class TestBackwardMemory:
-    """The backward frees each record's saved activations once it has replayed.
+    """The forward keeps only what a backward reads, and the backward frees
+    each record's saved activations once it has replayed.
 
     tracemalloc counts numpy's allocations exactly, so the figures repeat run
     to run. The bounds sit between a backward that keeps the whole tape to
@@ -301,6 +302,21 @@ class TestBackwardMemory:
         state_bytes = batch * seq_len * hidden * 8
         assert held <= 0.25 * forward_end
         assert peak - forward_end <= 1.5 * state_bytes
+
+    def test_raesc_forward_keeps_only_the_decoder_steps_and_argmax(self):
+        # Above rae's forward, raesc keeps the decoder's T per-step input
+        # copies ([B, pooled] each) and the max-pool argmax (one byte per
+        # pooled value): 1.03x those bytes here. Keeping the conv, pool and
+        # swap outputs as well reads 4.58x.
+        batch, seq_len = 32, 100
+        x = Tensor(np.random.default_rng(13).uniform(-1, 1, (batch, seq_len, 1)))
+        forward_end = {}
+        for kind in (RAE, RAESC):
+            model, spec = build_model(kind, seq_len=seq_len, sigma=1.0)
+            forward_end[kind] = self.traced_backward(lambda: mse_loss(model.forward(x), x))[0]
+        pooled = decoder_input_features(model.variant, spec)
+        kept = batch * seq_len * pooled * 8 + batch * seq_len * pooled
+        assert forward_end[RAESC] - forward_end[RAE] <= 1.25 * kept
 
     def test_gru_backward_frees_each_steps_gates_as_it_goes(self):
         # z, r and the candidate take three [B, T, H] arrays, the input

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from raeslab.gradcheck import check_gradients
+from raeslab.layers import MaxPool1D, maxpool1d_forward
 from raeslab.tensor import (
     GraphError,
     ShapeError,
@@ -343,6 +344,53 @@ class TestGradientAdoption:
             backward(tape, _loss_with_upstream(add(x, x), g))
         assert np.array_equal(x.grad, 2.0 * g)
         assert not np.shares_memory(x.grad, g)
+
+
+class TestTapeHoldsGradientSlots:
+    """An op whose backward does not read its input keeps only the input's
+    gradient slot: once the caller drops the input inside an open tape, the
+    input's array is freed, and the leaf gradients are the same bits as when
+    every tensor stays alive."""
+
+    CASES = {
+        "add": add,
+        "sub": sub,
+        "reshape": lambda y, v: reshape(y, (6, 6)),
+        "swap_last_axes": lambda y, v: swap_last_axes(y),
+        "sum_all": lambda y, v: sum_all(y),
+        "mean_all": lambda y, v: mean_all(y),
+        "take_step": lambda y, v: take_step(y, 1),
+        "maxpool1d_forward": lambda y, v: maxpool1d_forward(MaxPool1D(2, 2), y),
+    }
+
+    @staticmethod
+    def leaf_grads(op, drop):
+        """Leaf gradients of ``op(x * c, v)``; with ``drop``, also whether the
+        array of ``x * c`` was freed before the backward."""
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.uniform(-2, 2, (2, 6, 3)), requires_grad=True)
+        v = Tensor(rng.uniform(-2, 2, (2, 6, 3)), requires_grad=True)
+        c = Tensor(rng.uniform(-2, 2, (2, 6, 3)))
+        with Tape() as tape:
+            y = mul(x, c)
+            out = op(y, v)
+            # mul by a constant keeps the constant, not ``out``
+            loss = _loss_with_upstream(out, rng.uniform(-1, 1, out.shape))
+            freed = None
+            if drop:
+                # the output too: reshape's output is a view of its input
+                ref = weakref.ref(y.data)
+                del y, out
+                freed = ref() is None
+            backward(tape, loss)
+        return freed, [t.grad.tobytes() for t in (x, v) if t.grad is not None]
+
+    @pytest.mark.parametrize("op", sorted(CASES))
+    def test_dropped_input_is_freed_and_leaf_grads_keep_their_bits(self, op):
+        freed, grads = self.leaf_grads(self.CASES[op], drop=True)
+        assert freed
+        assert grads == self.leaf_grads(self.CASES[op], drop=False)[1]
+        assert len(grads) == (2 if op in ("add", "sub") else 1)
 
 
 class TestFiniteDifferencesPerOp:
