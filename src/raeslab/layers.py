@@ -147,15 +147,31 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     if any(x.shape != step_shape for x in xs):
         raise ShapeError(f"gru_forward steps must all be [batch, input_size] {step_shape} for state {h0.shape}")
     W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
+    WzT, UzT, WrT, UrT, WhT, UhT = (w.data.T for w in (W_z, U_z, W_r, U_r, W_h, U_h))
     h2 = h0.data
     states = np.empty((h2.shape[0], len(xs), layer.hidden_size))
+    # each gate's expression is evaluated term by term, in place and in its
+    # order, so it rounds as the out-of-place expression does; scratch takes
+    # the step's [B, H] products
+    scratch = np.empty_like(h2)
     saved = [] if active_tape() is not None else None
     for t, x2 in enumerate(x.data for x in xs):
-        z = _logistic(x2 @ W_z.data.T + h2 @ U_z.data.T + b_z.data)
-        r = _logistic(x2 @ W_r.data.T + h2 @ U_r.data.T + b_r.data)
-        cand = np.tanh(x2 @ W_h.data.T + (r * h2) @ U_h.data.T + b_h.data)
-        h2 = (1.0 - z) * h2 + z * cand
-        states[:, t] = h2
+        z = x2 @ WzT
+        z += np.matmul(h2, UzT, out=scratch)
+        z += b_z.data
+        _logistic(z)
+        r = x2 @ WrT
+        r += np.matmul(h2, UrT, out=scratch)
+        r += b_r.data
+        _logistic(r)
+        cand = x2 @ WhT
+        cand += np.multiply(r, h2, out=scratch) @ UhT
+        cand += b_h.data
+        np.tanh(cand, out=cand)
+        hn = 1.0 - z
+        hn *= h2
+        hn += np.multiply(z, cand, out=scratch)
+        h2 = states[:, t] = hn
         if saved is not None:
             saved.append((z, r, cand))
 
@@ -165,18 +181,33 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
         # per-gate composition (the oracle in tests/test_layers.py) replayed
         # in reverse, so every gradient rounds identically to it. A state's
         # gradient is its head gradient plus the next step's four terms.
+        # Each expression is evaluated in place on a buffer the step owns:
+        # scratch holds 1 - cand^2, then 1 - r, then 1 - z and a GEMM; the
+        # spent cand becomes g_z, the spent r becomes r*h, and the weight
+        # gradients' GEMMs write into wx and uh.
         dh = g[:, -1].copy()
+        scratch = np.empty_like(dh)
+        wx, uh = np.empty(W_z.shape), np.empty(U_z.shape)
         for t in range(len(xs) - 1, -1, -1):
             x, (z, r, cand) = xs[t], saved[t]
             saved[t] = None
             # a contiguous copy: the strided view slows the GEMMs and products below
             h2 = states[:, t - 1].copy() if t else h0.data
-            g_c = dh * z * (1.0 - cand * cand)
+            g_c = dh * z
+            g_c *= np.subtract(1.0, np.multiply(cand, cand, out=scratch), out=scratch)
             g_rh = g_c @ U_h.data
-            g_r = g_rh * h2 * r * (1.0 - r)
-            g_z = dh * (cand - h2) * z * (1.0 - z)
+            g_r = g_rh * h2
+            g_r *= r
+            g_r *= np.subtract(1.0, r, out=scratch)
+            g_z = cand
+            g_z -= h2
+            g_z *= dh
+            g_z *= z
+            g_z *= np.subtract(1.0, z, out=scratch)
             if t or h0.requires_grad:
-                terms = (dh * (1.0 - z), g_rh * r, g_r @ U_r.data, g_z @ U_z.data)
+                dh *= scratch
+                g_rh *= r
+                terms = (dh, g_rh, np.matmul(g_r, U_r.data, out=scratch), g_z @ U_z.data)
                 if t:
                     dh = g[:, t - 1].copy()
                     for term in terms:
@@ -188,12 +219,12 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
                 for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
                     accumulate_grad(x, term)
             # recomputed, not saved: the tape keeps only z, r and cand per step
-            rh = r * h2
+            rh = np.multiply(r, h2, out=r)
             for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
                 if w.requires_grad:
-                    accumulate_grad(w, gate.T @ x.data)
+                    accumulate_grad(w, np.matmul(gate.T, x.data, out=wx))
                 if u.requires_grad:
-                    accumulate_grad(u, gate.T @ state)
+                    accumulate_grad(u, np.matmul(gate.T, state, out=uh))
                 if b.requires_grad:
                     accumulate_grad(b, gate.sum(axis=0))
 
@@ -216,11 +247,13 @@ def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
     out = np.empty((batch, out_len, layer.filters))
     out[:] = layer.b.data
     # term-by-term accumulation (k outer, channel inner) so the result is
-    # bit-identical to a naive triple-loop evaluation of the same sum
+    # bit-identical to a naive triple-loop evaluation of the same sum; every
+    # product goes through one buffer
+    prod = np.empty_like(out)
     for kk in range(k):
         xs = x3[:, kk : kk + out_len, :]
         for c in range(channels):
-            out += xs[:, :, c, None] * w[:, kk, c]
+            out += np.multiply(xs[:, :, c, None], w[:, kk, c], out=prod)
 
     def grad_w(g):
         gw = np.empty_like(w)

@@ -156,7 +156,7 @@ def accumulate_grad(t: Tensor | GradSlot, g: np.ndarray) -> None:
     """Add a gradient contribution to a tensor or its slot, allocating the buffer on first use."""
     if t.grad is None:
         # copy: g may alias a buffer the caller reuses, and may need broadcasting
-        t.grad = np.array(np.broadcast_to(g, t.shape))
+        t.grad = np.array(g) if g.shape == t.shape else np.array(np.broadcast_to(g, t.shape))
     else:
         t.grad += g
 
@@ -314,17 +314,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _logistic(a: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) as (1 + tanh(x/2))/2: tanh saturates at ±1, so neither tail overflows."""
-    t = np.tanh(a * 0.5)
-    t += 1.0
-    t *= 0.5
-    return t
+    """1/(1+e^-x) as (1 + tanh(x/2))/2, in place on ``a``: tanh saturates at ±1, so neither tail overflows."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function, computed without overflow on either tail."""
     a = _as_tensor(a)
-    s = _logistic(a.data)
+    s = _logistic(a.data.copy())
     return _record("sigmoid", s, (a, lambda g: g * s * (1.0 - s)))
 
 

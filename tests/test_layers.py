@@ -227,28 +227,52 @@ class TestGRUStepOracle:
             backward(tape, sum_all(mul(states, proj)))
         return states.data, [t.grad for t in tensors]
 
-    @pytest.mark.parametrize("batch", [1, 4])
+    # the bench-sized case runs numpy's in-place tanh at full SIMD width
+    @pytest.mark.parametrize(("batch", "n_in", "hidden"), [(1, 5, 7), (4, 5, 7), (100, 50, 50)], ids=["1", "4", "100x50x50"])
     @pytest.mark.parametrize("h_requires_grad", [True, False])
     @pytest.mark.parametrize("shared_x", [False, True])
     # one step is the GRU cell itself; six steps unroll a sequence
     @pytest.mark.parametrize("n_steps", [1, 6], ids=["gru_step", "gru_forward"])
-    def test_bit_identical_to_per_gate_ops(self, batch, h_requires_grad, shared_x, n_steps):
+    def test_bit_identical_to_per_gate_ops(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
         rng = np.random.default_rng(50)
-        layer = GRULayer(5, 7, rng)
+        layer = GRULayer(n_in, hidden, rng)
         for p in layer.parameters():
             p.data[:] = rng.uniform(-1.5, 1.5, p.shape)
         if shared_x:
-            xs = [Tensor(rng.uniform(-2, 2, (batch, 5)), requires_grad=True)] * n_steps
+            xs = [Tensor(rng.uniform(-2, 2, (batch, n_in)), requires_grad=True)] * n_steps
         else:
-            xs = [Tensor(rng.uniform(-2, 2, (batch, 5)), requires_grad=True) for _ in range(n_steps)]
-        h0 = Tensor(rng.uniform(-1, 1, (batch, 7)), requires_grad=h_requires_grad)
-        proj = Tensor(rng.uniform(-1, 1, (batch, n_steps, 7)))
+            xs = [Tensor(rng.uniform(-2, 2, (batch, n_in)), requires_grad=True) for _ in range(n_steps)]
+        h0 = Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=h_requires_grad)
+        proj = Tensor(rng.uniform(-1, 1, (batch, n_steps, hidden)))
         states, grads = self.unroll(True, layer, xs, h0, proj)
         want_states, want_grads = self.unroll(False, layer, xs, h0, proj)
         assert np.array_equal(states, want_states)
         assert (grads[-1] is None) == (not h_requires_grad)
         for got, want in zip(grads, want_grads):
             assert (got is None and want is None) or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shared_x", [False, True])
+    def test_leaves_inputs_parameters_and_upstream_gradient_unchanged(self, shared_x):
+        # the step works in place on its own buffers only
+        rng = np.random.default_rng(52)
+        layer = GRULayer(3, 5, rng)
+        if shared_x:
+            xs = [Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True)] * 4
+        else:
+            xs = [Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True) for _ in range(4)]
+        h0 = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+        upstream = rng.uniform(-1, 1, (4, 4, 5))
+        arrays = [t.data for t in [*xs, h0, *layer.parameters()]] + [upstream]
+        before = [a.tobytes() for a in arrays]
+        with Tape() as tape:
+            states = gru_forward(layer, xs, h0)
+
+            def route(g, slot=states.slot):
+                slot.grad = upstream
+
+            backward(tape, record_op("route", np.zeros(()), (states,), route))
+        assert h0.grad is not None and all(x.grad is not None for x in xs)
+        assert [a.tobytes() for a in arrays] == before
 
     def test_one_tape_record_per_layer(self):
         rng = np.random.default_rng(51)

@@ -79,6 +79,13 @@ class TestSigmoid:
         want = np.exp(-np.logaddexp(0.0, -x))
         assert np.max(np.abs(got - want)) <= 2.3e-16
 
+    def test_leaves_its_input_unchanged(self):
+        # the logistic formula works in place, on a copy of the input
+        x = np.random.default_rng(4).normal(0.0, 3.0, (7, 5))
+        a = Tensor(x.copy())
+        sigmoid(a)
+        assert a.data.tobytes() == x.tobytes()
+
 
 class TestTanh:
     def test_odd_function(self):
