@@ -122,7 +122,7 @@ class Conv1DLayer:
 class MaxPool1D:
     """Windowed maximum along the sequence axis; parameter-free."""
 
-    def __init__(self, pool_size: int = 2, stride: int = 2):
+    def __init__(self, pool_size: int, stride: int):
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         if stride < 1:

@@ -75,9 +75,11 @@ class ModelVariant:
     kind: str
     kernel_size: int = 3
     pool_size: int = 2
-    pool_stride: int = 2
+    pool_stride: int | None = None  # None: the pool size, so windows do not overlap
 
     def __post_init__(self):
+        if self.pool_stride is None:
+            object.__setattr__(self, "pool_stride", self.pool_size)
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant {self.kind!r}, expected one of {VARIANT_KINDS}")
         if self.kernel_size < 1 or self.pool_size < 1 or self.pool_stride < 1:

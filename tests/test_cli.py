@@ -1,10 +1,16 @@
 """Command line surface: flags, outputs, determinism, exit codes."""
 
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from raeslab import cli
+from raeslab.harness import ExperimentConfig, VariantResult
+from raeslab.models import VARIANT_KINDS, ContextSpec, ModelVariant
 
 BASE_RUN = [
     "--features", "1",
@@ -70,7 +76,7 @@ class TestRun:
         [
             ("--epochs", "0"), ("--sigma", "-1"), ("--pool-stride", "0"), ("--n-sequences", "1"), ("--model", "vae"),
             ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--time-budget-s", "-5"), ("--model", "rae,rae"),
-            ("--sigma", "inf"), ("--sigma", "nan"),
+            ("--sigma", "inf"), ("--sigma", "nan"), ("--epochs", "2.5"), ("--features", "abc"),
         ],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, flag, value):
@@ -146,6 +152,13 @@ class TestGrid:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_unknown_flag_is_one_line_error(self, tmp_path):
+        proc = raes_lab("grid", "--bogus", "--out", str(tmp_path / "grid"))
+        assert proc.returncode == 2
+        assert proc.stderr == "raes-lab: error: unrecognized arguments: --bogus\n"
+        assert proc.stdout == ""
+        assert not (tmp_path / "grid").exists()
+
     @pytest.mark.parametrize(
         "features,sigmas,models",
         [
@@ -212,6 +225,93 @@ def test_out_under_a_file_fails_before_any_training(tmp_path, command, under, da
     assert dangling or blocker.read_text() == "keep\n"
 
 
+def test_run_is_a_one_cell_grid(tmp_path):
+    # kernel 13 over a 12-entry context leaves raesc infeasible
+    flags = [
+        "--seq-len", "12", "--epochs", "2", "--n-sequences", "40", "--batch-size", "8", "--seed", "3",
+        "--kernel-size", "13",
+    ]
+    run_out, grid_out = tmp_path / "run", tmp_path / "grid"
+    run = raes_lab("run", "--model", "all", "--features", "1", "--sigma", "1.0", *flags, "--out", str(run_out))
+    grid = raes_lab("grid", "--models", "all", "--features", "1", "--sigmas", "1.0", *flags, "--out", str(grid_out))
+    for proc in (run, grid):
+        assert proc.returncode == 0, proc.stderr
+        assert "raesc: skipped (" in proc.stdout
+    names = sorted(p.name for p in run_out.iterdir())
+    assert names == sorted(p.name for p in grid_out.iterdir())
+    assert "f1_s100_raesc.csv" not in names
+    for name in names:
+        if name.endswith(".csv"):
+            assert non_timing_content(run_out / name) == non_timing_content(grid_out / name), name
+
+
+def captured_configs(monkeypatch, tmp_path, *argv) -> list[ExperimentConfig]:
+    """The configs `main` hands to run_experiment, which trains nothing here."""
+    configs = []
+
+    def fake_run(cfg):
+        configs.append(cfg)
+        context = ContextSpec.autoencoding(cfg.seq_len, cfg.n_features, cfg.sigma)
+        return [VariantResult(v, context, [], "not trained") for v in cfg.variants]
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    return configs
+
+
+# flag, value, the ExperimentConfig or ModelVariant field it sets, that field's value
+TRAINING_FLAGS = [
+    ("--seq-len", "40", "seq_len", 40),
+    ("--epochs", "3", "epochs", 3),
+    ("--time-budget-s", "2.5", "time_budget_s", 2.5),
+    ("--n-sequences", "30", "n_sequences", 30),
+    ("--batch-size", "7", "batch_size", 7),
+    ("--seed", "5", "seed", 5),
+    ("--decoder-hidden", "9", "decoder_hidden", 9),
+    ("--lr", "0.02", "lr", 0.02),
+    ("--components-per-feature", "2", "components_per_feature", 2),
+    ("--kernel-size", "4", "kernel_size", 4),
+    ("--pool-size", "3", "pool_size", 3),
+    ("--pool-stride", "1", "pool_stride", 1),
+]
+RUN_AXES = [("--features", "2", "n_features", 2), ("--sigma", "0.5", "sigma", 0.5)]
+VARIANT_FIELDS = {f.name for f in fields(ModelVariant)}
+
+
+class TestLibraryDefaults:
+    def test_no_flag_gives_the_library_defaults(self, monkeypatch, tmp_path):
+        grid_variants = [ModelVariant(kind) for kind in ("rae", "raes", "raesc")]
+        assert captured_configs(monkeypatch, tmp_path, "grid") == [
+            ExperimentConfig(grid_variants, n_features=nf, sigma=sigma)
+            for nf in (1, 2, 4, 8)
+            for sigma in (0.25, 0.5, 1.0)
+        ]
+        run_variants = [ModelVariant(kind) for kind in VARIANT_KINDS]
+        assert captured_configs(monkeypatch, tmp_path, "run") == [ExperimentConfig(run_variants)]
+
+    def test_every_library_field_has_a_flag(self):
+        routed = {field for _, _, field, _ in TRAINING_FLAGS + RUN_AXES}
+        assert routed == ({f.name for f in fields(ExperimentConfig)} - {"variants"}) | (VARIANT_FIELDS - {"kind"})
+
+    @pytest.mark.parametrize(
+        "command,flag,value,field,parsed",
+        [(command, *case) for command in ("run", "grid") for case in TRAINING_FLAGS]
+        + [("run", *case) for case in RUN_AXES],
+    )
+    def test_flag_reaches_the_library(self, monkeypatch, tmp_path, command, flag, value, field, parsed):
+        on_variant = field in VARIANT_FIELDS
+        default = ModelVariant("raesc") if on_variant else ExperimentConfig([ModelVariant("raesc")])
+        assert getattr(default, field) != parsed
+        if command == "run":
+            argv, cell = ["run", "--model", "raesc"], {}
+        else:
+            argv = ["grid", "--models", "raesc", "--features", "2", "--sigmas", "0.5"]
+            cell = {"n_features": 2, "sigma": 0.5}
+        variant = ModelVariant("raesc", **({field: parsed} if on_variant else {}))
+        config_kw = cell if on_variant else {**cell, field: parsed}
+        assert captured_configs(monkeypatch, tmp_path, *argv, flag, value) == [ExperimentConfig([variant], **config_kw)]
+
+
 class TestGradcheckCommand:
     def test_passes_with_exit_zero(self):
         proc = raes_lab("gradcheck", "--instances", "2")
@@ -231,3 +331,27 @@ class TestGradcheckCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "raes-lab: error: --seed must be a non-negative integer, got -1\n"
+
+
+TRAINING_FLAG_NAMES = [
+    "--seq-len", "--epochs", "--time-budget-s", "--n-sequences", "--batch-size", "--seed", "--kernel-size",
+    "--pool-size", "--pool-stride", "--decoder-hidden", "--lr", "--components-per-feature", "--out",
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ([], []),
+        (["run"], ["--model", "--features", "--sigma", *TRAINING_FLAG_NAMES]),
+        (["grid"], ["--features", "--sigmas", "--models", *TRAINING_FLAG_NAMES]),
+        (["gradcheck"], ["--instances", "--seed"]),
+    ],
+    ids=["raes-lab", "run", "grid", "gradcheck"],
+)
+def test_help_names_every_flag(command, flags):
+    proc = raes_lab(*command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) == {"--help", *flags}
+    if not command:
+        assert all(name in proc.stdout for name in ("run", "grid", "gradcheck"))

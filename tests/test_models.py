@@ -381,6 +381,12 @@ class TestModelStructure:
         assert other.decoder.hidden_size == 7
         assert other.head.in_features == 7
 
+    def test_pool_stride_defaults_to_pool_size(self):
+        assert ModelVariant(RAESC, pool_size=3).pool_stride == 3
+        assert ModelVariant(RAESC) == ModelVariant(RAESC, pool_stride=2)
+        model, _ = build_model(RAESC, sigma=1.5, kernel_size=2, pool_size=3)
+        assert model.pool.stride == 3
+
     def test_raes_requires_divisible_context(self):
         spec = ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=1.25)
         with pytest.raises(ValueError, match="multiple"):
