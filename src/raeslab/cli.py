@@ -7,7 +7,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .gradcheck import default_suite
+from .gradcheck import TOLERANCE, default_suite
 from .harness import (
     ExperimentConfig,
     cell_tag,
@@ -154,7 +154,7 @@ def _cmd_gradcheck(args) -> int:
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status}  {res.name:<18} max relative error {res.max_error:.3e} (tolerance {res.tolerance:g})")
+        print(f"{status}  {res.name:<18} max relative error {res.max_error:.3e} (tolerance {TOLERANCE:g})")
         failed = failed or not res.passed
     return 1 if failed else 0
 

@@ -35,7 +35,7 @@ class SignalConfig:
     def __post_init__(self):
         for field in ("n_sequences", "seq_len", "n_features", "components_per_feature"):
             if getattr(self, field) < 1:
-                raise ValueError(f"SignalConfig.{field} must be >= 1")
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
 
 
 @dataclass

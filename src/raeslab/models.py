@@ -82,16 +82,19 @@ class ModelVariant:
             object.__setattr__(self, "pool_stride", self.pool_size)
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant {self.kind!r}, expected one of {VARIANT_KINDS}")
-        if self.kernel_size < 1 or self.pool_size < 1 or self.pool_stride < 1:
-            raise ValueError("kernel_size, pool_size and pool_stride must all be >= 1")
+        for name in ("kernel_size", "pool_size", "pool_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def context_size_from_sigma(sigma: float, n_features: int, seq_len: int) -> int:
     """Context length for a given size ratio: round(sigma * n_features * seq_len)."""
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a finite number > 0, got {sigma}")
-    if n_features < 1 or seq_len < 1:
-        raise ValueError(f"n_features and seq_len must be >= 1, got ({n_features}, {seq_len})")
+    if n_features < 1:
+        raise ValueError(f"n_features must be >= 1, got {n_features}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     n = int(round(sigma * n_features * seq_len))
     if n < 1:
         raise ValueError(f"sigma {sigma} with {n_features} features over {seq_len} steps gives an empty context")
@@ -279,7 +282,7 @@ class AutoencoderModel:
 
     def forward(self, x: Tensor) -> Tensor:
         """Encode, turn the context into decoder input steps, decode."""
-        return decode_steps(self, decoder_input_steps(self, encode_context(self, x)), x)
+        return decode_steps(self, decoder_input_steps(self, encode_context(self, x)))
 
 
 def encode_context(model: AutoencoderModel, x: Tensor) -> Tensor:
@@ -293,9 +296,9 @@ def encode_context(model: AutoencoderModel, x: Tensor) -> Tensor:
     return take_step(gru_forward(model.encoder, unstack_steps(x), h0), -1)
 
 
-def decode_steps(model: AutoencoderModel, steps, like: Tensor) -> Tensor:
+def decode_steps(model: AutoencoderModel, steps) -> Tensor:
     """Run the decoder from a zero state and apply the head at every step."""
-    h0 = Tensor(np.zeros((like.shape[0], model.decoder.hidden_size)))
+    h0 = Tensor(np.zeros((steps[0].shape[0], model.decoder.hidden_size)))
     return time_distributed_dense(model.head, gru_forward(model.decoder, steps, h0))
 
 

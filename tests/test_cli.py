@@ -86,6 +86,21 @@ class TestRun:
         assert proc.stderr.startswith("raes-lab: error: ")
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    # a message names the flag's field (the flag with "-" read as "_"), except --features: n_features
+    @pytest.mark.parametrize(
+        "flag,field",
+        [
+            ("--kernel-size", "kernel_size"), ("--pool-stride", "pool_stride"), ("--seq-len", "seq_len"),
+            ("--features", "n_features"), ("--n-sequences", "n_sequences"),
+        ],
+    )
+    def test_range_error_names_one_field_and_its_value(self, tmp_path, flag, field):
+        out = tmp_path / "x"
+        proc = raes_lab("run", *BASE_RUN, flag, "0", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"raes-lab: error: {field} must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_empty_variant_list_is_named(self, tmp_path):
         proc = raes_lab("run", *BASE_RUN, "--model", ",", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
