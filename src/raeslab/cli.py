@@ -109,8 +109,12 @@ def _cells(args) -> list[ExperimentConfig]:
 
 def _check_out(out: Path) -> None:
     """Fail before any training if the report directory cannot be made."""
-    # a dangling symlink exists for mkdir too
-    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    try:
+        # a dangling symlink exists for mkdir too
+        existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    except OSError as exc:
+        # Path.exists re-raises some errors instead of answering False, e.g. a name too long
+        raise ValueError(f"--out {out}: {exc.strerror}") from None
     if not existing.is_dir():
         raise ValueError(f"--out {out}: {existing} is not a directory")
 
@@ -169,8 +173,8 @@ def main(argv=None) -> int:
         # out-of-range flag values surface here; report them like argparse does
         print(f"raes-lab: error: {exc}", file=sys.stderr)
         return 2
-    except TrainingError as exc:
-        # a diverging run (non-finite loss or gradient) is a failed run, not a bad flag
+    except (TrainingError, OSError) as exc:
+        # a diverging run or a report that cannot be written is a failed run, not a bad flag
         print(f"raes-lab: error: {exc}", file=sys.stderr)
         return 1
 

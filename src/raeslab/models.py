@@ -20,7 +20,6 @@ sequence. Models take [batch, seq_len, n_features] inputs and carry
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -155,7 +154,6 @@ def transform_context(context: Tensor, seq_len: int) -> Tensor:
     return reshape(context, (batch, seq_len, lam))
 
 
-@lru_cache(maxsize=None)
 def _stretch_matrix(context_size: int, seq_len: int) -> np.ndarray:
     """[context_size, seq_len] interpolation weights, endpoints preserved."""
     m = np.zeros((context_size, seq_len))

@@ -53,19 +53,9 @@ class AdamState:
                 raise TrainingError(f"gradient missing for {label}; run backward before AdamState.step")
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient for {label}")
-            # the expressions above, evaluated in place on two buffers
             m, v = self.m[i], self.v[i]
             m *= BETA1
-            buf = np.multiply(1.0 - BETA1, g)
-            m += buf
+            m += (1.0 - BETA1) * g
             v *= BETA2
-            np.multiply(g, g, out=buf)
-            buf *= 1.0 - BETA2
-            v += buf
-            np.divide(v, c2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += EPS
-            step = np.divide(m, c1)
-            step *= self.lr
-            step /= buf
-            p.data -= step
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -1,7 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The operation set is deliberately small: exactly what recurrent layers, a 1D
-convolution stack and an MSE head need. ``take_step`` and ``unstack_steps``
+convolution stack and an MSE head need. Every op takes ``Tensor`` operands
+and converts nothing; ``add``, ``sub`` and ``mul`` also take a Python int or
+float on either side, as a 0-d constant. ``take_step`` and ``unstack_steps``
 split a sequence [..., T, m] into steps, one ``step`` record each. Values
 live in row-major (C-contiguous) numpy float64 arrays; gradients are arrays
 of the same shape, allocated lazily during the backward pass and accumulated
@@ -28,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "GradSlot",
     "Tape",
     "ShapeError",
     "GraphError",
@@ -153,10 +154,10 @@ def active_tape() -> Tape | None:
 
 
 def accumulate_grad(t: Tensor | GradSlot, g: np.ndarray) -> None:
-    """Add a gradient contribution to a tensor or its slot, allocating the buffer on first use."""
+    """Add a gradient of the tensor's shape into a tensor or its slot, allocating the buffer on first use."""
     if t.grad is None:
-        # copy: g may alias a buffer the caller reuses, and may need broadcasting
-        t.grad = np.array(g) if g.shape == t.shape else np.array(np.broadcast_to(g, t.shape))
+        # copy: g may alias a buffer the caller reuses
+        t.grad = np.array(g)
     else:
         t.grad += g
 
@@ -212,10 +213,6 @@ def zero_grads(params) -> None:
         p.grad = None
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _record(name: str, data: np.ndarray, *terms) -> Tensor:
     """Record an op from ``(input, grad_fn)`` pairs: its backward adds
     ``grad_fn(g)`` into each input that has ``requires_grad``, in the order given.
@@ -231,7 +228,7 @@ def _record(name: str, data: np.ndarray, *terms) -> Tensor:
     def back(g):
         for slot, grad_fn in slots:
             r = grad_fn(g)
-            if slot.grad is None and r is not g and r.base is None and r.shape == slot.shape and r.flags.writeable:
+            if slot.grad is None and r is not g and r.base is None and r.flags.writeable:
                 slot.grad = r
             else:
                 accumulate_grad(slot, r)
@@ -246,10 +243,9 @@ def _record(name: str, data: np.ndarray, *terms) -> Tensor:
 def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
     """Both operands as tensors; a Python int or float becomes a 0-d constant."""
     if isinstance(b, (int, float)):
-        return _as_tensor(a), Tensor(float(b))
+        return a, Tensor(float(b))
     if isinstance(a, (int, float)):
-        return Tensor(float(a)), _as_tensor(b)
-    a, b = _as_tensor(a), _as_tensor(b)
+        return Tensor(float(a)), b
     if a.shape != b.shape:
         raise ShapeError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
     return a, b
@@ -279,7 +275,6 @@ def mul(a, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-D tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -293,7 +288,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``w`` is stored [out, in] so a row holds one output unit's weights. The
     weight gradient sums over all leading axes in one GEMM.
     """
-    x = _as_tensor(x)
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D [out, in], got {w.shape}")
     if x.ndim < 1 or x.shape[-1] != w.shape[1]:
@@ -324,14 +318,12 @@ def _logistic(a: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function, computed without overflow on either tail."""
-    a = _as_tensor(a)
     s = _logistic(a.data.copy())
     return _record("sigmoid", s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def tanh_op(a: Tensor) -> Tensor:
     """Elementwise hyperbolic tangent."""
-    a = _as_tensor(a)
     t = np.tanh(a.data)
     return _record("tanh", t, (a, lambda g: g * (1.0 - t * t)))
 
@@ -342,7 +334,6 @@ def tanh_op(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     """Metadata-only reshape; element count must be preserved."""
-    a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
@@ -352,7 +343,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def swap_last_axes(a: Tensor) -> Tensor:
     """Transpose the final two axes; gradient is the inverse transpose."""
-    a = _as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"swap_last_axes needs at least 2 axes, got shape {a.shape}")
     return _record("swap_last_axes", a.data.swapaxes(-1, -2), (a, lambda g: g.swapaxes(-1, -2)))
@@ -360,21 +350,18 @@ def swap_last_axes(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    a = _as_tensor(a)
     shape = a.shape
     return _record("sum_all", np.asarray(a.data.sum()), (a, lambda g: np.broadcast_to(g, shape)))
 
 
 def mean_all(a: Tensor) -> Tensor:
     """Mean of all elements, as a scalar tensor."""
-    a = _as_tensor(a)
     shape, size = a.shape, a.size
     return _record("mean_all", np.asarray(a.data.mean()), (a, lambda g: np.broadcast_to(g / size, shape)))
 
 
 def take_step(t: Tensor, i: int) -> Tensor:
     """Step ``i`` along the second-to-last axis; the gradient scatters back into ``t``."""
-    t = _as_tensor(t)
     if t.ndim < 2:
         raise ShapeError(f"take_step needs at least 2 axes, got shape {t.shape}")
     idx = (slice(None),) * (t.ndim - 2) + (i,)
@@ -391,7 +378,6 @@ def take_step(t: Tensor, i: int) -> Tensor:
 
 def unstack_steps(t: Tensor) -> list[Tensor]:
     """Split along the second-to-last axis into per-step tensors, one ``step`` record each."""
-    t = _as_tensor(t)
     if t.ndim < 2:
         raise ShapeError(f"unstack_steps needs at least 2 axes, got shape {t.shape}")
     return [take_step(t, i) for i in range(t.shape[-2])]

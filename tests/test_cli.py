@@ -240,6 +240,33 @@ def test_out_under_a_file_fails_before_any_training(tmp_path, command, under, da
     assert dangling or blocker.read_text() == "keep\n"
 
 
+ONE_EPOCH_CELL = ["run", "--model", "rae", "--seq-len", "8", "--n-sequences", "20", "--batch-size", "8", "--epochs", "1"]
+
+
+def assert_one_error_line(proc, code):
+    assert proc.returncode == code
+    assert proc.stderr.startswith("raes-lab: error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr + proc.stdout
+
+
+def test_out_name_too_long_fails_before_any_training(tmp_path):
+    out = tmp_path / ("a" * 300) / "x"
+    proc = raes_lab(*ONE_EPOCH_CELL, "--out", str(out))
+    assert_one_error_line(proc, 2)
+    assert proc.stderr == f"raes-lab: error: --out {out}: File name too long\n"
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_report_is_one_line_error(tmp_path):
+    (tmp_path / "summary.csv").mkdir()
+    proc = raes_lab(*ONE_EPOCH_CELL, "--out", str(tmp_path))
+    assert_one_error_line(proc, 1)
+    assert "summary.csv" in proc.stderr
+    assert "rae: 1 epochs" in proc.stdout
+
+
 def test_run_is_a_one_cell_grid(tmp_path):
     # kernel 13 over a 12-entry context leaves raesc infeasible
     flags = [

@@ -118,3 +118,31 @@ class TestAdam:
             p.grad = np.array([0.1])
             state.step()
             assert state.t == expected
+
+    def test_bits_match_the_written_out_update(self):
+        # oracle: the textbook update, written out in the order AdamState.step
+        # evaluates it, compared by bytes over gradients spanning ten decades
+        rng = np.random.default_rng(18)
+        shapes = [(7,), (3, 5), (2, 3, 4), (1,)]
+        beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        state = AdamState(params, lr=lr)
+        data = [p.data.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 301):
+            c1 = 1.0 - beta1**t
+            c2 = 1.0 - beta2**t
+            for i, (p, s) in enumerate(zip(params, shapes)):
+                g = rng.standard_normal(s) * 10.0 ** rng.uniform(-8.0, 2.0, s)
+                p.grad = g
+                m[i] *= beta1
+                m[i] += (1.0 - beta1) * g
+                v[i] *= beta2
+                v[i] += (1.0 - beta2) * (g * g)
+                data[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+            state.step()
+            for i, p in enumerate(params):
+                assert p.data.tobytes() == data[i].tobytes(), (t, i)
+                assert state.m[i].tobytes() == m[i].tobytes(), (t, i)
+                assert state.v[i].tobytes() == v[i].tobytes(), (t, i)
