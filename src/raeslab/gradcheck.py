@@ -166,7 +166,7 @@ def _check_model(kind: str, rng) -> float:
     spec = models.ContextSpec.autoencoding(seq_len=4, n_features=1, sigma=_TOY_SIGMAS[kind])
     model = models.AutoencoderModel.build(variant, spec, rng)
     x = Tensor(rng.uniform(-1.0, 1.0, size=(2, spec.seq_len, spec.n_features)))
-    target = rng.uniform(-1.0, 1.0, size=x.shape)
+    target = Tensor(rng.uniform(-1.0, 1.0, size=x.shape))
 
     def build():
         return mse_loss(model.forward(x), target)

@@ -109,6 +109,20 @@ def raes_feasible(context_size: int, seq_len: int) -> int | None:
     return context_size // seq_len
 
 
+def _raes_chunk_size(context_size: int, seq_len: int) -> int:
+    """raes_feasible's per-step feature count, or a ShapeError naming the divisibility rule."""
+    lam = raes_feasible(context_size, seq_len)
+    if lam is None:
+        raise ShapeError(f"context size {context_size} is not a multiple of sequence length {seq_len}")
+    return lam
+
+
+def _check_upsample(context_size: int, seq_len: int) -> None:
+    """Raise a ShapeError unless raes-stretch can upsample the context to seq_len steps."""
+    if context_size > seq_len:
+        raise ShapeError(f"stretch only upsamples: context size {context_size} exceeds sequence length {seq_len}")
+
+
 @dataclass(frozen=True)
 class ContextSpec:
     """Sizes shared by every variant: sequence geometry and the context ratio.
@@ -145,29 +159,13 @@ def transform_context(context: Tensor, seq_len: int) -> Tensor:
     if context.ndim != 2:
         raise ShapeError(f"transform_context needs a [batch, context_size] context, got {context.shape}")
     batch, n = context.shape
-    lam = raes_feasible(n, seq_len)
-    if lam is None:
-        raise ShapeError(
-            f"context size {n} is not a multiple of sequence length {seq_len}; "
-            "the sequence reinterpretation needs an integer per-step feature count"
-        )
-    return reshape(context, (batch, seq_len, lam))
+    return reshape(context, (batch, seq_len, _raes_chunk_size(n, seq_len)))
 
 
 def _stretch_matrix(context_size: int, seq_len: int) -> np.ndarray:
-    """[context_size, seq_len] interpolation weights, endpoints preserved."""
-    m = np.zeros((context_size, seq_len))
-    if context_size == 1:
-        m[0, :] = 1.0
-        return m
-    for t in range(seq_len):
-        pos = t * (context_size - 1) / (seq_len - 1) if seq_len > 1 else 0.0
-        lo = int(np.floor(pos))
-        frac = pos - lo
-        m[lo, t] += 1.0 - frac
-        if frac > 0.0:
-            m[lo + 1, t] += frac
-    return m
+    """[context_size, seq_len] interpolation weights, endpoints preserved: row k interpolates the k-th unit vector."""
+    pos = np.arange(seq_len) * (context_size - 1) / max(seq_len - 1, 1)
+    return np.stack([np.interp(pos, np.arange(context_size), row) for row in np.eye(context_size)])
 
 
 def stretch_context(context: Tensor, seq_len: int) -> Tensor:
@@ -179,8 +177,7 @@ def stretch_context(context: Tensor, seq_len: int) -> Tensor:
     if context.ndim != 2:
         raise ShapeError(f"stretch_context needs a [batch, context_size] context, got {context.shape}")
     batch, n = context.shape
-    if n > seq_len:
-        raise ShapeError(f"stretch only upsamples: context size {n} exceeds target length {seq_len}")
+    _check_upsample(n, seq_len)
     out = matmul(context, Tensor(_stretch_matrix(n, seq_len)))
     return reshape(out, (batch, seq_len, 1))
 
@@ -190,13 +187,7 @@ def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
     if variant.kind == RAE:
         return context.context_size
     if variant.kind == RAES:
-        lam = raes_feasible(context.context_size, context.seq_len)
-        if lam is None:
-            raise ValueError(
-                f"context size {context.context_size} is not a multiple of "
-                f"sequence length {context.seq_len}"
-            )
-        return lam
+        return _raes_chunk_size(context.context_size, context.seq_len)
     if variant.kind == RAESC:
         minimum = variant.kernel_size + variant.pool_size - 1
         if context.context_size < minimum:
@@ -208,11 +199,7 @@ def decoder_input_features(variant: ModelVariant, context: ContextSpec) -> int:
         conv_len = context.context_size - variant.kernel_size + 1
         return (conv_len - variant.pool_size) // variant.pool_stride + 1
     # RAES_STRETCH, the last kind ModelVariant admits
-    if context.context_size > context.seq_len:
-        raise ValueError(
-            f"stretch only upsamples: context size {context.context_size} exceeds "
-            f"sequence length {context.seq_len}"
-        )
+    _check_upsample(context.context_size, context.seq_len)
     return 1
 
 
@@ -307,12 +294,11 @@ def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor
     if kind == RAE:
         return [context] * spec.seq_len
     if kind == RAES:
-        return unstack_steps(transform_context(context, spec.seq_len))
-    if kind == RAESC:
-        seq = reshape(context, (context.shape[0], spec.context_size, 1))
-        responses = conv1d_forward(model.conv, seq)
-        pooled = maxpool1d_forward(model.pool, responses)
-        return unstack_steps(swap_last_axes(pooled))
-    # RAES_STRETCH, the last kind ModelVariant admits
-    return unstack_steps(stretch_context(context, spec.seq_len))
+        seq = transform_context(context, spec.seq_len)
+    elif kind == RAESC:
+        responses = conv1d_forward(model.conv, reshape(context, (context.shape[0], spec.context_size, 1)))
+        seq = swap_last_axes(maxpool1d_forward(model.pool, responses))
+    else:  # RAES_STRETCH, the last kind ModelVariant admits
+        seq = stretch_context(context, spec.seq_len)
+    return unstack_steps(seq)
 

@@ -13,9 +13,8 @@ class TrainingError(RuntimeError):
     """Raised when training hits a non-finite loss or gradient."""
 
 
-def mse_loss(pred: Tensor, target) -> Tensor:
+def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean over all elements of the squared difference; differentiable."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss shape mismatch: {pred.shape} vs {target.shape}")
     diff = sub(pred, target)

@@ -91,7 +91,7 @@ class TestRun:
         "flag,field",
         [
             ("--kernel-size", "kernel_size"), ("--pool-stride", "pool_stride"), ("--seq-len", "seq_len"),
-            ("--features", "n_features"), ("--n-sequences", "n_sequences"),
+            ("--features", "n_features"), ("--n-sequences", "n_sequences"), ("--batch-size", "batch_size"),
         ],
     )
     def test_range_error_names_one_field_and_its_value(self, tmp_path, flag, field):

@@ -1,4 +1,4 @@
-"""numpy stays the only runtime dependency: the library imports nothing else outside the standard library."""
+"""numpy stays the only runtime dependency, and the library's modules import each other only downward."""
 
 import ast
 import sys
@@ -25,6 +25,40 @@ def absolute_imports(path: Path) -> list[str]:
 def test_library_imports_only_numpy_and_the_standard_library(path):
     foreign = [n for n in absolute_imports(path) if n != "numpy" and n not in sys.stdlib_module_names]
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+# the raeslab modules each module may import; nothing imports upward or in a cycle
+LAYERS = {
+    "__init__": set(),
+    "tensor": set(),
+    "layers": {"tensor"},
+    "optim": {"tensor"},
+    "data": {"tensor"},
+    "models": {"layers", "tensor"},
+    "harness": {"data", "models", "optim", "tensor"},
+    "gradcheck": {"models", "layers", "optim", "tensor"},
+    "cli": {"gradcheck", "harness", "models", "optim"},
+}
+
+
+def raeslab_imports(path: Path) -> set[str]:
+    """The raeslab modules a module imports, ``from . import models`` included.
+
+    Only relative imports count: an absolute ``raeslab`` import already fails
+    the numpy-and-standard-library test above.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module else [alias.name for alias in node.names])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_imports_only_the_layers_below_it(path):
+    assert path.stem in LAYERS, f"{path.name} is not in LAYERS; give it its place in the import order"
+    upward = raeslab_imports(path) - LAYERS[path.stem]
+    assert upward == set(), f"{path.name} imports {sorted(upward)}"
 
 
 def test_numpy_is_the_only_declared_dependency():

@@ -287,6 +287,12 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             write_report([], tmp_path)
 
+    def test_read_rejects_a_foreign_header(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("epoch,train_mse\n0,0.5\n")
+        with pytest.raises(ValueError, match=r"other\.csv: unexpected header \['epoch', 'train_mse'\]$"):
+            read_records_csv(path)
+
 
 class TestFairness:
     def test_variants_see_identical_data_and_split(self):

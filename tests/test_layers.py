@@ -493,6 +493,48 @@ class TestInitParams:
         assert np.array_equal(init_params((7,), np.random.default_rng(0)).data, np.zeros(7))
 
 
+class TestSizeChecks:
+    """A size below 1 or a mismatched channel count fails when the layer is built or called, naming the value."""
+
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            pytest.param(
+                lambda rng: init_params((1, 2, 3, 4), rng),
+                ShapeError,
+                r"^init_params supports 1-D to 3-D shapes, got \(1, 2, 3, 4\)$",
+                id="init_params-4d",
+            ),
+            pytest.param(
+                lambda rng: GRULayer(0, 3, rng), ValueError, r"^GRULayer sizes must be >= 1, got \(0, 3\)$", id="gru"
+            ),
+            pytest.param(
+                lambda rng: DenseLayer(2, 0, rng), ValueError, r"^DenseLayer sizes must be >= 1, got \(2, 0\)$", id="dense"
+            ),
+            pytest.param(
+                lambda rng: Conv1DLayer(1, 2, 0, rng), ValueError, r"^kernel_size must be >= 1, got 0$", id="conv-kernel"
+            ),
+            pytest.param(
+                lambda rng: Conv1DLayer(1, 0, 2, rng), ValueError, r"^filters must be >= 1, got 0$", id="conv-filters"
+            ),
+            pytest.param(
+                lambda rng: Conv1DLayer(0, 2, 2, rng), ValueError, r"^in_channels must be >= 1, got 0$", id="conv-channels"
+            ),
+            pytest.param(lambda rng: MaxPool1D(0, 1), ValueError, r"^pool_size must be >= 1, got 0$", id="pool-size"),
+            pytest.param(lambda rng: MaxPool1D(2, 0), ValueError, r"^stride must be >= 1, got 0$", id="pool-stride"),
+            pytest.param(
+                lambda rng: conv1d_forward(Conv1DLayer(1, 2, 2, rng), Tensor(np.zeros((1, 5, 2)))),
+                ShapeError,
+                r"^conv1d_forward channels 2 do not match in_channels 1$",
+                id="conv1d_forward-channels",
+            ),
+        ],
+    )
+    def test_message_names_the_value(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(np.random.default_rng(0))
+
+
 class TestLayerGradients:
     """Finite-difference checks including degenerate shapes."""
 

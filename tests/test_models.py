@@ -15,6 +15,7 @@ from raeslab.models import (
     AutoencoderModel,
     ContextSpec,
     ModelVariant,
+    _stretch_matrix,
     context_size_from_sigma,
     decoder_input_features,
     decoder_input_steps,
@@ -69,6 +70,10 @@ class TestFeasibility:
     def test_double_size(self):
         assert raes_feasible(400, 200) == 2
 
+    def test_rejects_an_empty_size(self):
+        with pytest.raises(ValueError, match=r"must be >= 1, got \(0, 5\)"):
+            raes_feasible(0, 5)
+
     def test_grid_dash_pattern_matches_exactly(self):
         infeasible = set()
         for nf in GRID_FEATURES:
@@ -77,6 +82,18 @@ class TestFeasibility:
                 if raes_feasible(n_c, GRID_SEQ_LEN) is None:
                     infeasible.add((nf, sigma))
         assert infeasible == EXPECTED_INFEASIBLE
+
+    # the exact skip reasons summary.csv prints for a grid cell
+    @pytest.mark.parametrize(
+        "kind,n_features,sigma,reason",
+        [
+            (RAES, 1, 0.25, "context size 50 is not a multiple of sequence length 200"),
+            (RAES_STRETCH, 1, 1.25, "stretch only upsamples: context size 250 exceeds sequence length 200"),
+        ],
+    )
+    def test_skip_reason_text(self, kind, n_features, sigma, reason):
+        spec = ContextSpec.autoencoding(GRID_SEQ_LEN, n_features, sigma)
+        assert infeasibility_reason(ModelVariant(kind), spec) == reason
 
     def test_raesc_accepts_everything_above_minimum(self):
         variant = ModelVariant(RAESC)
@@ -118,7 +135,29 @@ class TestTransformContext:
         assert np.array_equal(out.data.reshape(2, 6), c)
 
 
+def oracle_stretch_matrix(context_size, seq_len):
+    """The per-step loop that models._stretch_matrix replaced: weight 1 - frac on the lower neighbour, frac on the upper."""
+    m = np.zeros((context_size, seq_len))
+    if context_size == 1:
+        m[0, :] = 1.0
+        return m
+    for t in range(seq_len):
+        pos = t * (context_size - 1) / (seq_len - 1) if seq_len > 1 else 0.0
+        lo = int(np.floor(pos))
+        frac = pos - lo
+        m[lo, t] += 1.0 - frac
+        if frac > 0.0:
+            m[lo + 1, t] += frac
+    return m
+
+
 class TestStretchContext:
+    def test_weights_match_the_loop_oracle_bit_for_bit(self):
+        for seq_len in range(1, 65):
+            for n in range(1, seq_len + 1):
+                expected = oracle_stretch_matrix(n, seq_len).tobytes()
+                assert _stretch_matrix(n, seq_len).tobytes() == expected, (n, seq_len)
+
     def test_midpoint_is_average(self):
         out = stretch_context(Tensor([[1.0, 3.0]]), 3)
         assert out.data[0].tolist() == [[1.0], [2.0], [3.0]]
@@ -150,7 +189,7 @@ class TestStretchContext:
 
         def build():
             out = stretch_context(c, 7)
-            return mse_loss(out, np.zeros((1, 7, 1)))
+            return mse_loss(out, Tensor(np.zeros((1, 7, 1))))
 
         assert check_gradients(build, [c]) < 1e-4
 
@@ -197,7 +236,7 @@ class TestForwards:
             model, spec = build_model(kind, sigma=sigma, seed=3, **kw)
             x = Tensor(np.random.default_rng(4).uniform(-1, 1, (1, spec.seq_len, 1)))
             with Tape() as tape:
-                loss = mse_loss(model.forward(x), np.ones((1, spec.seq_len, 1)))
+                loss = mse_loss(model.forward(x), Tensor(np.ones((1, spec.seq_len, 1))))
                 backward(tape, loss)
             total = sum(float(np.abs(p.grad).sum()) for p in model.parameters())
             assert total > 0.0, kind
@@ -235,7 +274,7 @@ class TestForwards:
         for kind, sigma, kw in [(RAES, 2.0, {}), (RAESC, 1.5, {"kernel_size": 2, "pool_size": 2})]:
             model, spec = build_model(kind, sigma=sigma, seed=6, **kw)
             x = Tensor(np.random.default_rng(7).uniform(-1, 1, (1, spec.seq_len, 1)))
-            target = np.random.default_rng(8).uniform(-1, 1, (1, spec.seq_len, 1))
+            target = Tensor(np.random.default_rng(8).uniform(-1, 1, (1, spec.seq_len, 1)))
 
             def build():
                 return mse_loss(model.forward(x), target)

@@ -499,3 +499,49 @@ class TestTensorInvariants:
             z = add(y, 1.0)
             sum_all(z)
         assert tape.op_names() == ["mul", "add", "sum_all"]
+
+
+class TestOperandShapeErrors:
+    """An operand of the wrong rank or size raises a ShapeError that names it."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            pytest.param(
+                lambda: matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
+                r"^matmul needs 2-D operands, got \(3,\) and \(3, 2\)$",
+                id="matmul-1d",
+            ),
+            pytest.param(
+                lambda: linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(3))),
+                r"^linear weight must be 2-D \[out, in\], got \(3,\)$",
+                id="linear-weight-1d",
+            ),
+            pytest.param(
+                lambda: linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))),
+                r"^linear bias \(4,\) does not match weight \(3, 4\)$",
+                id="linear-bias",
+            ),
+            pytest.param(
+                lambda: reshape(Tensor(np.zeros(6)), (4,)), r"^cannot reshape \(6,\) to \(4,\)$", id="reshape-size"
+            ),
+            pytest.param(
+                lambda: swap_last_axes(Tensor(np.zeros(3))),
+                r"^swap_last_axes needs at least 2 axes, got shape \(3,\)$",
+                id="swap_last_axes-1d",
+            ),
+            pytest.param(
+                lambda: take_step(Tensor(np.zeros(3)), 0),
+                r"^take_step needs at least 2 axes, got shape \(3,\)$",
+                id="take_step-1d",
+            ),
+            pytest.param(
+                lambda: unstack_steps(Tensor(np.zeros(3))),
+                r"^unstack_steps needs at least 2 axes, got shape \(3,\)$",
+                id="unstack_steps-1d",
+            ),
+        ],
+    )
+    def test_message_names_the_operand(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
