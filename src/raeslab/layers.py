@@ -135,8 +135,12 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     """Unroll the cell over a list of [B, input] steps as one tape record.
 
     h0 is [B, hidden] and the states come back as one [B, T, hidden] tensor.
-    z, r and the candidate are kept per step only while a tape is open, and
-    the backward frees each step's as soon as that step has replayed.
+    Each step works feature-major on stacked gates: W3 = [W_z; W_r; W_h] times
+    the step's input is one [3H, B] block with contiguous z, r and candidate
+    rows, and U2 = [U_z; U_r] times the state adds into its z and r rows. A
+    tape keeps each step's block until the backward has replayed that step;
+    with no tape one block serves every step. The stacked GEMMs sum in another
+    order than per-gate ones: states and gradients match those to 1e-12.
     """
     xs = list(xs)
     if not xs:
@@ -146,87 +150,83 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     step_shape = (h0.shape[0], layer.input_size)
     if any(x.shape != step_shape for x in xs):
         raise ShapeError(f"gru_forward steps must all be [batch, input_size] {step_shape} for state {h0.shape}")
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
-    WzT, UzT, WrT, UrT, WhT, UhT = (w.data.T for w in (W_z, U_z, W_r, U_r, W_h, U_h))
-    h2 = h0.data
-    states = np.empty((h2.shape[0], len(xs), layer.hidden_size))
-    # each gate's expression is evaluated term by term, in place and in its
-    # order, so it rounds as the out-of-place expression does; scratch takes
-    # the step's [B, H] products
-    scratch = np.empty_like(h2)
+    params = layer.parameters()
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (p.data for p in params)
+    H, B = layer.hidden_size, h0.shape[0]
+    # each gate adds its input term, state term and bias in that order, in
+    # place, the bias as a whole [3H, B] block, which adds faster than a
+    # broadcast column; scratch takes the step's state-side products
+    W3, U2 = np.concatenate((W_z, W_r, W_h)), np.concatenate((U_z, U_r))
+    b3, scratch = np.repeat(np.concatenate((b_z, b_r, b_h))[:, None], B, axis=1), np.empty((2 * H, B))
+    states = np.empty((B, len(xs), H))
     saved = [] if active_tape() is not None else None
-    for t, x2 in enumerate(x.data for x in xs):
-        z = x2 @ WzT
-        z += np.matmul(h2, UzT, out=scratch)
-        z += b_z.data
-        _logistic(z)
-        r = x2 @ WrT
-        r += np.matmul(h2, UrT, out=scratch)
-        r += b_r.data
-        _logistic(r)
-        cand = x2 @ WhT
-        cand += np.multiply(r, h2, out=scratch) @ UhT
-        cand += b_h.data
+    block = None if saved is not None else np.empty((3 * H, B))
+    hT = np.ascontiguousarray(h0.data.T)
+    for t, x in enumerate(xs):
+        P = np.matmul(W3, x.data.T, out=block)
+        zr, z, r, cand = P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :]
+        zr += np.matmul(U2, hT, out=scratch)
+        zr += b3[: 2 * H]
+        _logistic(zr)
+        cand += np.matmul(U_h, np.multiply(r, hT, out=scratch[:H]), out=scratch[H:])
+        cand += b3[2 * H :]
         np.tanh(cand, out=cand)
-        hn = 1.0 - z
-        hn *= h2
-        hn += np.multiply(z, cand, out=scratch)
-        h2 = states[:, t] = hn
+        hn = np.subtract(1.0, z)
+        hn *= hT
+        hn += np.multiply(z, cand, out=scratch[:H])
+        states[:, t] = hn.T
+        hT = hn
         if saved is not None:
-            saved.append((z, r, cand))
+            saved.append(P)
 
     def back(g, xs=xs, h0=h0, states=states, saved=saved):
-        # Per step, the expressions and the order in which terms are added
-        # into x, the previous state and each parameter are those of the
-        # per-gate composition (the oracle in tests/test_layers.py) replayed
-        # in reverse, so every gradient rounds identically to it. A state's
-        # gradient is its head gradient plus the next step's four terms.
-        # Each expression is evaluated in place on a buffer the step owns:
-        # scratch holds 1 - cand^2, then 1 - r, then 1 - z and a GEMM; the
-        # spent cand becomes g_z, the spent r becomes r*h, and the weight
-        # gradients' GEMMs write into wx and uh.
-        dh = g[:, -1].copy()
-        scratch = np.empty_like(dh)
-        wx, uh = np.empty(W_z.shape), np.empty(U_z.shape)
+        # Per step the elementwise expressions and their order are those of
+        # the per-gate composition replayed in reverse, in place: the spent
+        # block becomes the gate gradient G = [g_z; g_r; g_c], rows as in W3.
+        # A state's gradient is its head gradient plus the next step's
+        # dh*(1 - z), (U_h^T g_c)*r and U2^T G[:2H]. Parameter gradients are
+        # running sums, added into the nine tensors once at the end.
+        dW3, dU2, dU_h, G_sum = np.zeros(W3.shape), np.zeros(U2.shape), np.zeros(U_h.shape), np.zeros((3 * H, B))
+        wx, uzr, uh = np.empty(W3.shape), np.empty(U2.shape), np.empty(U_h.shape)
+        dh = g[:, -1].T.copy()
+        hT, q, s, g_rh, rh = (np.empty((H, B)) for _ in range(5))
         for t in range(len(xs) - 1, -1, -1):
-            x, (z, r, cand) = xs[t], saved[t]
+            x, G = xs[t], saved[t]
             saved[t] = None
-            # a contiguous copy: the strided view slows the GEMMs and products below
-            h2 = states[:, t - 1].copy() if t else h0.data
-            g_c = dh * z
-            g_c *= np.subtract(1.0, np.multiply(cand, cand, out=scratch), out=scratch)
-            g_rh = g_c @ U_h.data
-            g_r = g_rh * h2
-            g_r *= r
-            g_r *= np.subtract(1.0, r, out=scratch)
-            g_z = cand
-            g_z -= h2
-            g_z *= dh
-            g_z *= z
-            g_z *= np.subtract(1.0, z, out=scratch)
+            z, r, cand = G[:H], G[H : 2 * H], G[2 * H :]
+            np.copyto(hT, states[:, t - 1].T if t else h0.data.T)
+            np.multiply(np.subtract(cand, hT, out=q), dh, out=q)
+            # g_c = dh*z*(1 - cand^2) and g_z = (cand - h)*dh*z*(1 - z) take
+            # the candidate's and z's rows
+            np.subtract(1.0, np.multiply(cand, cand, out=s), out=s)
+            np.multiply(dh, z, out=cand)
+            cand *= s
+            dh *= np.subtract(1.0, z, out=s)
+            z *= q
+            z *= s
+            np.matmul(U_h.T, cand, out=g_rh)
+            # g_r = g_rh*h*r*(1 - r) takes r's rows once r*h and g_rh*r are made
+            np.multiply(g_rh, hT, out=q)
+            q *= r
+            np.multiply(r, hT, out=rh)
+            g_rh *= r
+            np.multiply(q, np.subtract(1.0, r, out=s), out=r)
             if t or h0.requires_grad:
-                dh *= scratch
-                g_rh *= r
-                terms = (dh, g_rh, np.matmul(g_r, U_r.data, out=scratch), g_z @ U_z.data)
-                if t:
-                    dh = g[:, t - 1].copy()
-                    for term in terms:
-                        dh += term
-                else:
-                    for term in terms:
-                        accumulate_grad(h0, term)
+                np.copyto(q, g[:, t - 1].T if t else 0.0)
+                for term in (dh, g_rh, np.matmul(U2.T, G[: 2 * H], out=s)):
+                    q += term
+                dh, q = q, dh
             if x.requires_grad:
-                for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
-                    accumulate_grad(x, term)
-            # recomputed, not saved: the tape keeps only z, r and cand per step
-            rh = np.multiply(r, h2, out=r)
-            for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
-                if w.requires_grad:
-                    accumulate_grad(w, np.matmul(gate.T, x.data, out=wx))
-                if u.requires_grad:
-                    accumulate_grad(u, np.matmul(gate.T, state, out=uh))
-                if b.requires_grad:
-                    accumulate_grad(b, gate.sum(axis=0))
+                accumulate_grad(x, np.matmul(G.T, W3))
+            dW3 += np.matmul(G, x.data, out=wx)
+            dU2 += np.matmul(G[: 2 * H], hT.T, out=uzr)
+            dU_h += np.matmul(cand, rh.T, out=uh)
+            G_sum += G
+        db = G_sum.sum(axis=1)
+        grads = (dW3[:H], dU2[:H], db[:H], dW3[H : 2 * H], dU2[H:], db[H : 2 * H], dW3[2 * H :], dU_h, db[2 * H :])
+        for p, grad in zip((*params, h0), (*grads, dh.T)):
+            if p.requires_grad:
+                accumulate_grad(p, grad)
 
     return record_op("gru_forward", states, (*xs, h0, *params), back)
 

@@ -19,8 +19,8 @@ from raeslab.harness import (
     write_report,
 )
 from raeslab.models import AutoencoderModel, ContextSpec, ModelVariant
-from raeslab.optim import AdamState, TrainingError
-from raeslab.tensor import Tensor, active_tape
+from raeslab.optim import AdamState, TrainingError, mse_loss
+from raeslab.tensor import Tape, Tensor, active_tape, backward
 
 
 def tiny_cfg(**kw):
@@ -95,6 +95,17 @@ class TestTrainEpoch:
         evaluate(model, ds, "val", batch_size=8)
         for p, snap in zip(model.parameters(), before):
             assert np.array_equal(p.data, snap)
+
+    def test_evaluate_is_unchanged_by_a_taped_forward_and_backward(self):
+        # evaluate's forwards share one gate block per GRU call; a taped
+        # forward keeps its own per step and the backward overwrites them
+        model = tiny_model()
+        ds = flat_dataset(30, 6, 1)
+        before = evaluate(model, ds, "val", batch_size=8)
+        xb = Tensor(ds.sequences[:8])
+        with Tape() as tape:
+            backward(tape, mse_loss(model.forward(xb), xb))
+        assert evaluate(model, ds, "val", batch_size=8) == before
 
     def test_identical_seeds_identical_records(self):
         def run():

@@ -19,7 +19,9 @@ from raeslab.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _logistic,
     accumulate_grad,
+    active_tape,
     backward,
     linear,
     mul,
@@ -110,6 +112,98 @@ def oracle_gru_step(layer, x, h):
     r = sigmoid(oracle_gate_preact(x, layer.W_r, layer.b_r, h, layer.U_r))
     cand = tanh_op(oracle_gate_preact(x, layer.W_h, layer.b_h, mul(r, h), layer.U_h))
     return oracle_gate_blend(z, h, cand)
+
+
+def oracle_gru_inplace(layer, xs, h0):
+    """The batch-major GRU kernel the stacked one replaced, kept as an oracle.
+
+    Each gate is its own [B, H] GEMMs, evaluated term by term in place, so
+    states and gradients are bit-identical to the per-gate composition.
+    """
+    xs = list(xs)
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = params = layer.parameters()
+    WzT, UzT, WrT, UrT, WhT, UhT = (w.data.T for w in (W_z, U_z, W_r, U_r, W_h, U_h))
+    h2 = h0.data
+    states = np.empty((h2.shape[0], len(xs), layer.hidden_size))
+    # each gate's expression is evaluated term by term, in place and in its
+    # order, so it rounds as the out-of-place expression does; scratch takes
+    # the step's [B, H] products
+    scratch = np.empty_like(h2)
+    saved = [] if active_tape() is not None else None
+    for t, x2 in enumerate(x.data for x in xs):
+        z = x2 @ WzT
+        z += np.matmul(h2, UzT, out=scratch)
+        z += b_z.data
+        _logistic(z)
+        r = x2 @ WrT
+        r += np.matmul(h2, UrT, out=scratch)
+        r += b_r.data
+        _logistic(r)
+        cand = x2 @ WhT
+        cand += np.multiply(r, h2, out=scratch) @ UhT
+        cand += b_h.data
+        np.tanh(cand, out=cand)
+        hn = 1.0 - z
+        hn *= h2
+        hn += np.multiply(z, cand, out=scratch)
+        h2 = states[:, t] = hn
+        if saved is not None:
+            saved.append((z, r, cand))
+
+    def back(g, xs=xs, h0=h0, states=states, saved=saved):
+        # Per step, the expressions and the order in which terms are added
+        # into x, the previous state and each parameter are those of the
+        # per-gate composition (``oracle_gru_step``) replayed
+        # in reverse, so every gradient rounds identically to it. A state's
+        # gradient is its head gradient plus the next step's four terms.
+        # Each expression is evaluated in place on a buffer the step owns:
+        # scratch holds 1 - cand^2, then 1 - r, then 1 - z and a GEMM; the
+        # spent cand becomes g_z, the spent r becomes r*h, and the weight
+        # gradients' GEMMs write into wx and uh.
+        dh = g[:, -1].copy()
+        scratch = np.empty_like(dh)
+        wx, uh = np.empty(W_z.shape), np.empty(U_z.shape)
+        for t in range(len(xs) - 1, -1, -1):
+            x, (z, r, cand) = xs[t], saved[t]
+            saved[t] = None
+            # a contiguous copy: the strided view slows the GEMMs and products below
+            h2 = states[:, t - 1].copy() if t else h0.data
+            g_c = dh * z
+            g_c *= np.subtract(1.0, np.multiply(cand, cand, out=scratch), out=scratch)
+            g_rh = g_c @ U_h.data
+            g_r = g_rh * h2
+            g_r *= r
+            g_r *= np.subtract(1.0, r, out=scratch)
+            g_z = cand
+            g_z -= h2
+            g_z *= dh
+            g_z *= z
+            g_z *= np.subtract(1.0, z, out=scratch)
+            if t or h0.requires_grad:
+                dh *= scratch
+                g_rh *= r
+                terms = (dh, g_rh, np.matmul(g_r, U_r.data, out=scratch), g_z @ U_z.data)
+                if t:
+                    dh = g[:, t - 1].copy()
+                    for term in terms:
+                        dh += term
+                else:
+                    for term in terms:
+                        accumulate_grad(h0, term)
+            if x.requires_grad:
+                for term in (g_c @ W_h.data, g_r @ W_r.data, g_z @ W_z.data):
+                    accumulate_grad(x, term)
+            # recomputed, not saved: the tape keeps only z, r and cand per step
+            rh = np.multiply(r, h2, out=r)
+            for gate, w, u, b, state in ((g_z, W_z, U_z, b_z, h2), (g_r, W_r, U_r, b_r, h2), (g_c, W_h, U_h, b_h, rh)):
+                if w.requires_grad:
+                    accumulate_grad(w, np.matmul(gate.T, x.data, out=wx))
+                if u.requires_grad:
+                    accumulate_grad(u, np.matmul(gate.T, state, out=uh))
+                if b.requires_grad:
+                    accumulate_grad(b, gate.sum(axis=0))
+
+    return record_op("gru_inplace", states, (*xs, h0, *params), back)
 
 
 def oracle_stack_steps(steps):
@@ -207,33 +301,48 @@ class TestGRUForward:
             gru_forward(layer, [], Tensor(np.zeros((1, 1))))
 
 
+def oracle_per_gate(layer, xs, h0):
+    """The GRU unrolled as per-gate tape records, its states stacked to [B, T, H]."""
+    h, outs = h0, []
+    for x in xs:
+        h = oracle_gru_step(layer, x, h)
+        outs.append(h)
+    return oracle_stack_steps(outs)
+
+
+def gru_grid(test):
+    """One and six steps, distinct and shared inputs, a state with and
+    without a gradient, and three batch shapes; ±1.5-uniform weights."""
+    test = pytest.mark.parametrize("n_steps", [1, 6], ids=["gru_step", "gru_forward"])(test)
+    test = pytest.mark.parametrize("shared_x", [False, True])(test)
+    test = pytest.mark.parametrize("h_requires_grad", [True, False])(test)
+    # the bench-sized case runs numpy's in-place tanh at full SIMD width
+    shapes = [(1, 5, 7), (4, 5, 7), (100, 50, 50)]
+    return pytest.mark.parametrize(("batch", "n_in", "hidden"), shapes, ids=["1", "4", "100x50x50"])(test)
+
+
+# The stacked kernel's GEMMs sum in another order than the oracles' per-gate
+# ones; states and gradients have differed by at most 1e-13.
+STACKED_TOLERANCE = {"rtol": 1e-12, "atol": 1e-12}
+
+
 class TestGRUStepOracle:
-    """The one-record kernel against the per-gate composition: same bits forward and backward."""
+    """The one-record kernels against the per-gate composition: the in-place
+    oracle keeps its bits forward and backward, the stacked kernel agrees
+    with both to STACKED_TOLERANCE."""
 
     @staticmethod
-    def unroll(kernel, layer, xs, h0, proj):
+    def unroll(forward, layer, xs, h0, proj):
         inputs = list({id(t): t for t in [*xs, h0]}.values())
         tensors = layer.parameters() + inputs
         zero_grads(tensors)
         with Tape() as tape:
-            if kernel:
-                states = gru_forward(layer, xs, h0)
-            else:
-                h, outs = h0, []
-                for x in xs:
-                    h = oracle_gru_step(layer, x, h)
-                    outs.append(h)
-                states = oracle_stack_steps(outs)
+            states = forward(layer, xs, h0)
             backward(tape, sum_all(mul(states, proj)))
         return states.data, [t.grad for t in tensors]
 
-    # the bench-sized case runs numpy's in-place tanh at full SIMD width
-    @pytest.mark.parametrize(("batch", "n_in", "hidden"), [(1, 5, 7), (4, 5, 7), (100, 50, 50)], ids=["1", "4", "100x50x50"])
-    @pytest.mark.parametrize("h_requires_grad", [True, False])
-    @pytest.mark.parametrize("shared_x", [False, True])
-    # one step is the GRU cell itself; six steps unroll a sequence
-    @pytest.mark.parametrize("n_steps", [1, 6], ids=["gru_step", "gru_forward"])
-    def test_bit_identical_to_per_gate_ops(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
+    @staticmethod
+    def grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
         rng = np.random.default_rng(50)
         layer = GRULayer(n_in, hidden, rng)
         for p in layer.parameters():
@@ -244,12 +353,41 @@ class TestGRUStepOracle:
             xs = [Tensor(rng.uniform(-2, 2, (batch, n_in)), requires_grad=True) for _ in range(n_steps)]
         h0 = Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=h_requires_grad)
         proj = Tensor(rng.uniform(-1, 1, (batch, n_steps, hidden)))
-        states, grads = self.unroll(True, layer, xs, h0, proj)
-        want_states, want_grads = self.unroll(False, layer, xs, h0, proj)
+        return layer, xs, h0, proj
+
+    def assert_matches_both_oracles(self, *case):
+        states, grads = self.unroll(gru_forward, *case)
+        for oracle in (oracle_gru_inplace, oracle_per_gate):
+            want_states, want_grads = self.unroll(oracle, *case)
+            np.testing.assert_allclose(states, want_states, **STACKED_TOLERANCE)
+            for got, want in zip(grads, want_grads):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_allclose(got, want, **STACKED_TOLERANCE)
+
+    @gru_grid
+    def test_bit_identical_to_per_gate_ops(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
+        case = self.grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps)
+        states, grads = self.unroll(oracle_gru_inplace, *case)
+        want_states, want_grads = self.unroll(oracle_per_gate, *case)
         assert np.array_equal(states, want_states)
         assert (grads[-1] is None) == (not h_requires_grad)
         for got, want in zip(grads, want_grads):
             assert (got is None and want is None) or np.array_equal(got, want)
+
+    @gru_grid
+    def test_stacked_kernel_matches_both_oracles(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
+        self.assert_matches_both_oracles(*self.grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps))
+
+    @pytest.mark.parametrize(("n_in", "hidden"), [(4, 200), (200, 200)], ids=["100x4x200", "100x200x200"])
+    def test_stacked_kernel_matches_both_oracles_over_50_bench_sized_steps(self, n_in, hidden):
+        # Glorot weights: the grid's ±1.5-uniform ones diverge over 50 steps
+        rng = np.random.default_rng(53)
+        layer = GRULayer(n_in, hidden, rng)
+        xs = [Tensor(rng.uniform(-1, 1, (100, n_in)), requires_grad=True) for _ in range(50)]
+        h0 = Tensor(rng.uniform(-1, 1, (100, hidden)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, (100, 50, hidden)))
+        self.assert_matches_both_oracles(layer, xs, h0, proj)
 
     @pytest.mark.parametrize("shared_x", [False, True])
     def test_leaves_inputs_parameters_and_upstream_gradient_unchanged(self, shared_x):

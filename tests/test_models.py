@@ -26,7 +26,7 @@ from raeslab.models import (
     transform_context,
 )
 from raeslab.optim import mse_loss
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, sum_all
+from raeslab.tensor import ShapeError, Tape, Tensor, backward, sum_all, unstack_steps
 
 # the benchmark grid: features x sigma at sequence length 200
 GRID_FEATURES = (1, 2, 4, 8)
@@ -304,6 +304,31 @@ class TestTapeRecords:
 
     def test_rae_record_count_independent_of_length(self):
         assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 7
+
+
+class TestTapeFreeForward:
+    """With no tape gru_forward reuses one gate block for every step; under a
+    tape each step keeps its own. Both give the same bits."""
+
+    @staticmethod
+    def states(model, x):
+        """Encoder states, decoder states and the reconstruction of one batch."""
+        batch = x.shape[0]
+        encoder = gru_forward(model.encoder, unstack_steps(x), Tensor(np.zeros((batch, model.encoder.hidden_size))))
+        steps = decoder_input_steps(model, encode_context(model, x))
+        decoder = gru_forward(model.decoder, steps, Tensor(np.zeros((batch, model.decoder.hidden_size))))
+        return [encoder.data, decoder.data, model.forward(x).data]
+
+    # the benchmark's tiny-f4-T50 and desk-f4-T50 cells: contexts of 50 and 200
+    @pytest.mark.parametrize("sigma", [0.25, 1.0], ids=["tiny", "desk"])
+    @pytest.mark.parametrize("kind", [RAE, RAES, RAESC])
+    def test_states_bit_identical_with_and_without_a_tape(self, kind, sigma):
+        model, _ = build_model(kind, seq_len=50, n_features=4, sigma=sigma)
+        x = Tensor(np.random.default_rng(14).uniform(-1, 1, (100, 50, 4)))
+        untaped = self.states(model, x)
+        with Tape():
+            taped = self.states(model, x)
+        assert all(np.array_equal(a, b) for a, b in zip(untaped, taped))
 
 
 class TestBackwardMemory:
