@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _logistic, _record, accumulate_grad, active_tape, linear, record_op
+from .tensor import ShapeError, Tensor, _logistic_neg, _record, accumulate_grad, active_tape, linear, record_op
 
 __all__ = [
     "init_params",
@@ -137,10 +137,14 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     h0 is [B, hidden] and the states come back as one [B, T, hidden] tensor.
     Each step works feature-major on stacked gates: W3 = [W_z; W_r; W_h] times
     the step's input is one [3H, B] block with contiguous z, r and candidate
-    rows, and U2 = [U_z; U_r] times the state adds into its z and r rows. A
-    tape keeps each step's block until the backward has replayed that step;
-    with no tape one block serves every step. The stacked GEMMs sum in another
-    order than per-gate ones: states and gradients match those to 1e-12.
+    rows. The state operand is [h; 1], so the stacked state weights
+    [U_z b_z; U_r b_r] and [U_h b_h] add each gate's bias inside their GEMM.
+    The z and r state weights are stacked negated, so the step forms -a for
+    the logistic 1/(1+e^-a) with one subtract, and the new state h + z*(c - h)
+    is written into the next step's state operand. A tape keeps each step's
+    block until the backward has replayed that step; with no tape one block
+    serves every step. The stacked GEMMs sum in another order than per-gate
+    ones: states and gradients match those to 1e-12.
     """
     xs = list(xs)
     if not xs:
@@ -153,29 +157,31 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     params = layer.parameters()
     W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (p.data for p in params)
     H, B = layer.hidden_size, h0.shape[0]
-    # each gate adds its input term, state term and bias in that order, in
-    # place, the bias as a whole [3H, B] block, which adds faster than a
-    # broadcast column; scratch takes the step's state-side products
-    W3, U2 = np.concatenate((W_z, W_r, W_h)), np.concatenate((U_z, U_r))
-    b3, scratch = np.repeat(np.concatenate((b_z, b_r, b_h))[:, None], B, axis=1), np.empty((2 * H, B))
+    W3 = np.concatenate((W_z, W_r, W_h))
+    nU2b = -np.block([[U_z, b_z[:, None]], [U_r, b_r[:, None]]])
+    Uhb = np.column_stack((U_h, b_h))
+    # two state operands [h; 1] that the blend writes in turn, and [r*h; 1];
+    # scratch takes the step's state-side products
+    operands, scratch = np.ones((3, H + 1, B)), np.empty((2 * H, B))
+    rhb = operands[2]
+    operands[0, :H] = h0.data.T
     states = np.empty((B, len(xs), H))
     saved = [] if active_tape() is not None else None
     block = None if saved is not None else np.empty((3 * H, B))
-    hT = np.ascontiguousarray(h0.data.T)
     for t, x in enumerate(xs):
+        hb, hn = operands[t % 2], operands[1 - t % 2]
+        hT = hb[:H]
         P = np.matmul(W3, x.data.T, out=block)
         zr, z, r, cand = P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :]
-        zr += np.matmul(U2, hT, out=scratch)
-        zr += b3[: 2 * H]
-        _logistic(zr)
-        cand += np.matmul(U_h, np.multiply(r, hT, out=scratch[:H]), out=scratch[H:])
-        cand += b3[2 * H :]
+        np.subtract(np.matmul(nU2b, hb, out=scratch), zr, out=zr)
+        _logistic_neg(zr)
+        np.multiply(r, hT, out=rhb[:H])
+        cand += np.matmul(Uhb, rhb, out=scratch[:H])
         np.tanh(cand, out=cand)
-        hn = np.subtract(1.0, z)
-        hn *= hT
-        hn += np.multiply(z, cand, out=scratch[:H])
-        states[:, t] = hn.T
-        hT = hn
+        d = np.subtract(cand, hT, out=scratch[:H])
+        d *= z
+        np.add(hT, d, out=hn[:H])
+        states[:, t] = hn[:H].T
         if saved is not None:
             saved.append(P)
 
@@ -184,12 +190,23 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
         # the per-gate composition replayed in reverse, in place: the spent
         # block becomes the gate gradient G = [g_z; g_r; g_c], rows as in W3.
         # A state's gradient is its head gradient plus the next step's
-        # dh*(1 - z), (U_h^T g_c)*r and U2^T G[:2H]. Parameter gradients are
-        # running sums, added into the nine tensors once at the end.
-        dW3, dU2, dU_h, G_sum = np.zeros(W3.shape), np.zeros(U2.shape), np.zeros(U_h.shape), np.zeros((3 * H, B))
-        wx, uzr, uh = np.empty(W3.shape), np.empty(U2.shape), np.empty(U_h.shape)
+        # dh*(1 - z), (U_h^T g_c)*r and U2^T G[:2H]. Against the operands
+        # [h; 1] and [r*h; 1], the state weights' gradient GEMMs return the
+        # bias gradients as their last column. Parameter gradients are running
+        # sums, added into the nine tensors once at the end. The weights are
+        # stacked here again, so the tape holds no stacked copy until the
+        # backward reaches this record.
+        W3, U2 = np.concatenate((W_z, W_r, W_h)), np.concatenate((U_z, U_r))
+        dW3, dU2b, dUhb = np.zeros(W3.shape), np.zeros((2 * H, H + 1)), np.zeros((H, H + 1))
+        # one buffer takes each step's input-gradient GEMM and then its three
+        # weight-gradient GEMMs in turn
+        shapes = ((B, W3.shape[1]), W3.shape, dU2b.shape, dUhb.shape)
+        gemm = np.empty(max(m * n for m, n in shapes))
+        gx, wx, uzr, uh = (gemm[: m * n].reshape(m, n) for m, n in shapes)
         dh = g[:, -1].T.copy()
-        hT, q, s, g_rh, rh = (np.empty((H, B)) for _ in range(5))
+        hb, rhb = np.ones((2, H + 1, B))
+        hT = hb[:H]
+        q, s = np.empty((H, B)), np.empty((H, B))
         for t in range(len(xs) - 1, -1, -1):
             x, G = xs[t], saved[t]
             saved[t] = None
@@ -204,26 +221,27 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
             dh *= np.subtract(1.0, z, out=s)
             z *= q
             z *= s
-            np.matmul(U_h.T, cand, out=g_rh)
-            # g_r = g_rh*h*r*(1 - r) takes r's rows once r*h and g_rh*r are made
-            np.multiply(g_rh, hT, out=q)
+            # s takes g_rh = U_h^T g_c; g_r = g_rh*h*r*(1 - r) takes r's rows
+            # once r*h and g_rh*r are made
+            np.matmul(U_h.T, cand, out=s)
+            np.multiply(s, hT, out=q)
             q *= r
-            np.multiply(r, hT, out=rh)
-            g_rh *= r
-            np.multiply(q, np.subtract(1.0, r, out=s), out=r)
+            np.multiply(r, hT, out=rhb[:H])
+            s *= r
+            np.subtract(1.0, r, out=r)
+            r *= q
             if t or h0.requires_grad:
-                np.copyto(q, g[:, t - 1].T if t else 0.0)
-                for term in (dh, g_rh, np.matmul(U2.T, G[: 2 * H], out=s)):
-                    q += term
+                np.add(g[:, t - 1].T if t else 0.0, dh, out=q)
+                q += s
+                q += np.matmul(U2.T, G[: 2 * H], out=s)
                 dh, q = q, dh
             if x.requires_grad:
-                accumulate_grad(x, np.matmul(G.T, W3))
+                accumulate_grad(x, np.matmul(G.T, W3, out=gx))
             dW3 += np.matmul(G, x.data, out=wx)
-            dU2 += np.matmul(G[: 2 * H], hT.T, out=uzr)
-            dU_h += np.matmul(cand, rh.T, out=uh)
-            G_sum += G
-        db = G_sum.sum(axis=1)
-        grads = (dW3[:H], dU2[:H], db[:H], dW3[H : 2 * H], dU2[H:], db[H : 2 * H], dW3[2 * H :], dU_h, db[2 * H :])
+            dU2b += np.matmul(G[: 2 * H], hb.T, out=uzr)
+            dUhb += np.matmul(cand, rhb.T, out=uh)
+        dU, db = dU2b[:, :H], dU2b[:, H]
+        grads = (dW3[:H], dU[:H], db[:H], dW3[H : 2 * H], dU[H:], db[H:], dW3[2 * H :], dUhb[:, :H], dUhb[:, H])
         for p, grad in zip((*params, h0), (*grads, dh.T)):
             if p.requires_grad:
                 accumulate_grad(p, grad)

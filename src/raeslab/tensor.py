@@ -307,18 +307,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _logistic(a: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) as (1 + tanh(x/2))/2, in place on ``a``: tanh saturates at ±1, so neither tail overflows."""
-    a *= 0.5
-    np.tanh(a, out=a)
-    a += 1.0
-    a *= 0.5
-    return a
+def _logistic_neg(m: np.ndarray) -> np.ndarray:
+    """The logistic of x = -m, 1/(1+e^m), in place on ``m``, which holds the negated argument.
+
+    Below x = -709 e^m overflows to inf and the result is exactly 0; above
+    x = 708 it underflows, and the result is exactly 1 from x = 37 on. Both
+    are silenced whatever the caller's ``np.errstate``. The relative error
+    stays a few ulp on the lower tail, where (1 + tanh(x/2))/2 cancels.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(m, out=m)
+    m += 1.0
+    return np.reciprocal(m, out=m)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise logistic function, computed without overflow on either tail."""
-    s = _logistic(a.data.copy())
+    """Elementwise logistic function, exactly 0 or 1 on saturated tails, with no overflow warning."""
+    s = _logistic_neg(np.negative(a.data))
     return _record("sigmoid", s, (a, lambda g: g * s * (1.0 - s)))
 
 

@@ -19,7 +19,7 @@ from raeslab.tensor import (
     ShapeError,
     Tape,
     Tensor,
-    _logistic,
+    _logistic_neg,
     accumulate_grad,
     active_tape,
     backward,
@@ -134,11 +134,11 @@ def oracle_gru_inplace(layer, xs, h0):
         z = x2 @ WzT
         z += np.matmul(h2, UzT, out=scratch)
         z += b_z.data
-        _logistic(z)
+        _logistic_neg(np.negative(z, out=z))
         r = x2 @ WrT
         r += np.matmul(h2, UrT, out=scratch)
         r += b_r.data
-        _logistic(r)
+        _logistic_neg(np.negative(r, out=r))
         cand = x2 @ WhT
         cand += np.multiply(r, h2, out=scratch) @ UhT
         cand += b_h.data
@@ -267,7 +267,7 @@ class TestGRUForward:
         h0 = Tensor(rng.uniform(-1, 1, (1, 3)))
         states = gru_forward(layer, [x], h0)
         assert states.data[0].shape == (1, 3)
-        assert np.array_equal(states.data[0][0], oracle_gru_step(layer, x, h0).data[0])
+        np.testing.assert_allclose(states.data[0][0], oracle_gru_step(layer, x, h0).data[0], **STACKED_TOLERANCE)
 
     def test_zero_params_zero_outputs(self):
         layer = zeroed_gru(1, 4)
@@ -299,6 +299,43 @@ class TestGRUForward:
         layer = zeroed_gru(1, 1)
         with pytest.raises(ValueError):
             gru_forward(layer, [], Tensor(np.zeros((1, 1))))
+
+
+class TestSaturatedGates:
+    """Pre-activations far past ±710, where e^-a overflows or underflows:
+    the gates are exactly 0 and 1 and nothing warns, forward and backward."""
+
+    @pytest.mark.parametrize("errors", ["raise", "warn"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    def test_gates_are_exactly_0_and_1_and_nothing_warns(self, taped, errors):
+        # pytest's filterwarnings = error turns a "warn" into a failure too
+        rng = np.random.default_rng(60)
+        batch, n_in, hidden, n_steps = 4, 3, 6, 5
+        layer = GRULayer(n_in, hidden, rng)
+        z = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        cand = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
+        # on a ones input each gate's input term is ±1000; the Glorot state
+        # terms add at most 6*0.71 and the biases are zero
+        for w, sign in ((layer.W_z, 2 * z - 1), (layer.W_r, rng.choice([-1.0, 1.0], hidden)), (layer.W_h, cand)):
+            w.data[:] = sign[:, None] * (1000.0 / n_in)
+        xs = [Tensor(np.ones((batch, n_in)), requires_grad=True) for _ in range(n_steps)]
+        # dyadic states, so h + z*(cand - h) is exact
+        h0 = Tensor(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (batch, hidden)), requires_grad=True)
+        want = np.where(z == 1.0, cand, h0.data)
+        with np.errstate(all=errors):
+            if taped:
+                zero_grads([*layer.parameters(), *xs, h0])
+                with Tape() as tape:
+                    states = gru_forward(layer, xs, h0)
+                    backward(tape, sum_all(states))
+            else:
+                states = gru_forward(layer, xs, h0)
+        assert all(np.array_equal(states.data[:, t], want) for t in range(n_steps))
+        if taped:
+            grads = [t.grad for t in (*layer.parameters(), *xs, h0)]
+            assert all(np.all(np.isfinite(g)) for g in grads)
+            # d(sum of states)/dh0 is the number of steps where z is 0 and nothing else
+            assert np.array_equal(h0.grad, np.broadcast_to((1.0 - z) * n_steps, h0.shape))
 
 
 def oracle_per_gate(layer, xs, h0):

@@ -79,6 +79,14 @@ class TestSigmoid:
         want = np.exp(-np.logaddexp(0.0, -x))
         assert np.max(np.abs(got - want)) <= 2.3e-16
 
+    def test_relative_error_on_the_lower_tail(self):
+        # (1 + tanh(x/2))/2 cancels here: 3e-4 relative error on [-30, -5),
+        # every digit lost below -30
+        x = np.linspace(-700.0, -5.0, 20001)
+        got = sigmoid(Tensor(x)).data
+        want = np.exp(-np.logaddexp(0.0, -x))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
     def test_leaves_its_input_unchanged(self):
         # the logistic formula works in place, on a copy of the input
         x = np.random.default_rng(4).normal(0.0, 3.0, (7, 5))
