@@ -261,17 +261,22 @@ def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
     if length < k:
         raise ShapeError(f"conv1d_forward sequence length {length} shorter than kernel size {k}")
     out_len = length - k + 1
-    w = layer.w.data
+    w, b = layer.w.data, layer.b.data
     out = np.empty((batch, out_len, layer.filters))
-    out[:] = layer.b.data
     # term-by-term accumulation (k outer, channel inner) so the result is
-    # bit-identical to a naive triple-loop evaluation of the same sum; every
-    # product goes through one buffer
-    prod = np.empty_like(out)
-    for kk in range(k):
-        xs = x3[:, kk : kk + out_len, :]
-        for c in range(channels):
-            out += np.multiply(xs[:, :, c, None], w[:, kk, c], out=prod)
+    # bit-identical to a naive triple-loop evaluation of the same sum (IEEE
+    # addition commutes, so the first product plus b is b plus it); a few
+    # sequences at a time, so about 512 KiB of output stays in cache while
+    # every term adds into it
+    rows = max(1, 2**19 // (8 * out_len * layer.filters))
+    prod = np.empty((min(rows, batch), out_len, layer.filters))
+    terms = [(kk, c) for kk in range(k) for c in range(channels)]
+    for i in range(0, batch, rows):
+        xb, ob = x3[i : i + rows], out[i : i + rows]
+        np.multiply(xb[:, :out_len, 0, None], w[:, 0, 0], out=ob)
+        ob += b
+        for kk, c in terms[1:]:
+            ob += np.multiply(xb[:, kk : kk + out_len, c, None], w[:, kk, c], out=prod[: len(ob)])
 
     def grad_w(g):
         gw = np.empty_like(w)
@@ -291,7 +296,9 @@ def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
 def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     """Per-channel windowed maximum; trailing partial windows are dropped.
 
-    The gradient routes to the window's argmax element, first occurrence on ties.
+    The gradient routes to the window's argmax element, first occurrence on
+    ties. A window holding NaN returns its last NaN's bits and routes to the
+    first element with those bits: its first NaN, unless its NaNs differ in bits.
     """
     if seq.ndim != 3:
         raise ShapeError(f"maxpool1d_forward needs [batch, length, channels], got {seq.shape}")
@@ -302,27 +309,38 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
     if length < p:
         raise ShapeError(f"maxpool1d_forward sequence length {length} shorter than pool size {p}")
     # running max over the p window offsets: window j's offset-k element is
-    # x3[:, j*s + k], so each offset is one strided slice of the sequence
+    # x3[:, j*s + k], so each offset is one strided slice of the sequence.
+    # np.maximum returns its second operand on ties, so the first maximum
+    # wins (-0.0 stays ahead of +0.0), and a NaN operand propagates
     stop = (length - p) // s * s + 1
     out = x3[:, :stop:s].copy()
-    # offsets below p: one byte each for any pool of up to 256
-    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(p - 1))
     for k in range(1, p):
-        cand = x3[:, k : k + stop : s]
-        # strictly greater keeps the first maximum on ties; like argmax, the
-        # first NaN in a window wins and is never replaced
-        take = ~(cand <= out) & (out == out)
-        out = np.where(take, cand, out)
-        argmax = np.where(take, k, argmax)
+        np.maximum(x3[:, k : k + stop : s], out, out=out)
+    if not (seq.requires_grad and active_tape() is not None):
+        return Tensor(out)
+    # the argmax is the first offset whose element has the output's bits, so
+    # the count of leading offsets that miss them; offsets below p take one
+    # byte each for any pool of up to 256
+    bits, out_bits = x3.view(np.uint64), out.view(np.uint64)
+    miss = bits[:, :stop:s] != out_bits
+    argmax = miss.astype(np.min_scalar_type(p - 1))
+    for k in range(1, p - 1):
+        miss &= bits[:, k : k + stop : s] != out_bits
+        argmax += miss
 
     def grad_seq(g):
-        # reads the input's shape and the argmax, not the input
-        gx = np.zeros(shape)
-        # one strided add per window offset; an input shared by overlapping
-        # windows is hit by larger offsets from earlier windows, so walking the
-        # offsets down sums its gradients in window order
-        for k in range(p - 1, -1, -1):
-            gx[:, k : k + stop : s] += np.where(argmax == k, g, 0.0)
+        # reads the input's shape and the argmax, not the input: window
+        # (b, j, c) sends g to the flat index of (b, j*s + argmax, c), and
+        # bincount sums an input shared by overlapping windows in window
+        # order. The targets take g's strides, so both flatten in g's memory
+        # order without a copy (g arrives transposed from swap_last_axes)
+        batch, windows, channels = g.shape
+        target = np.multiply(argmax, channels, dtype=np.intp, out=np.empty_like(g, dtype=np.intp))
+        target += ((np.arange(batch)[:, None] * length + np.arange(windows) * s) * channels)[..., None]
+        target += np.arange(channels)
+        # shaped in place: a fresh array becomes the input's gradient uncopied
+        gx = np.bincount(target.ravel("K"), g.ravel("K"), np.prod(shape))
+        gx.shape = shape
         return gx
 
     return _record("maxpool1d", out, (seq, grad_seq))

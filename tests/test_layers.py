@@ -72,6 +72,45 @@ def oracle_maxpool(x, g, pool, stride):
     return out, gx
 
 
+def oracle_conv1d_unblocked(x, w, b, g):
+    """The whole-batch conv1d kernel the blocked one replaced, kept as an oracle.
+
+    x [B, L, C], w [F, K, C], b [F] and the output gradient g; returns the
+    output and the gradients of x, w and b.
+    """
+    kernel = w.shape[1]
+    out_len = x.shape[1] - kernel + 1
+    out = np.empty((x.shape[0], out_len, w.shape[0]))
+    out[:] = b
+    prod = np.empty_like(out)
+    for kk in range(kernel):
+        xs = x[:, kk : kk + out_len, :]
+        for c in range(x.shape[2]):
+            out += np.multiply(xs[:, :, c, None], w[:, kk, c], out=prod)
+    gx, gw = np.zeros_like(x), np.empty_like(w)
+    for kk in range(kernel):
+        gw[:, kk, :] = np.tensordot(g, x[:, kk : kk + out_len, :], axes=([0, 1], [0, 1]))
+        gx[:, kk : kk + out_len, :] += g @ w[:, kk, :]
+    return out, gx, gw, g.sum(axis=(0, 1))
+
+
+def oracle_maxpool_where(x, g, pool, stride):
+    """The np.where running max-pool the one-pass kernel replaced and its
+    offset-loop input gradient for g, kept as an oracle."""
+    stop = (x.shape[1] - pool) // stride * stride + 1
+    out = x[:, :stop:stride].copy()
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(pool - 1))
+    for k in range(1, pool):
+        cand = x[:, k : k + stop : stride]
+        take = ~(cand <= out) & (out == out)
+        out = np.where(take, cand, out)
+        argmax = np.where(take, k, argmax)
+    gx = np.zeros(x.shape)
+    for k in range(pool - 1, -1, -1):
+        gx[:, k : k + stop : stride] += np.where(argmax == k, g, 0.0)
+    return out, gx
+
+
 def oracle_gate_preact(x, w, b, h, u):
     """x @ w.T + h @ u.T + b as one tape record."""
     out = x.data @ w.data.T + h.data @ u.data.T + b.data
@@ -564,6 +603,25 @@ class TestMaxPool:
             assert np.array_equal(out.data, want_out, equal_nan=True)
             assert seq.grad.tobytes() == want_grad.tobytes()
 
+    def test_taped_and_untaped_calls_agree_and_only_a_gradient_records(self):
+        # the argmax is built only under a tape for an input that requires grad
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            pool = int(rng.integers(1, 5))
+            stride = int(rng.integers(1, 6))
+            shape = (3, int(rng.integers(pool, 18)), int(rng.integers(1, 4)))
+            x = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=shape)
+            x[rng.random(shape) < 0.2] = np.nan
+            layer = MaxPool1D(pool, stride)
+            untaped = maxpool1d_forward(layer, Tensor(x))
+            with Tape() as tape:
+                no_grad = maxpool1d_forward(layer, Tensor(x))
+            assert len(tape) == 0 and not no_grad.requires_grad and not untaped.requires_grad
+            with Tape() as tape:
+                taped = maxpool1d_forward(layer, Tensor(x, requires_grad=True))
+            assert tape.op_names() == ["maxpool1d"]
+            assert untaped.data.tobytes() == no_grad.data.tobytes() == taped.data.tobytes()
+
     def test_gradient_routes_to_first_argmax_on_ties(self):
         seq = Tensor(np.array([[[2.0], [2.0], [1.0], [1.0]]]), requires_grad=True)
         with Tape() as tape:
@@ -580,6 +638,54 @@ class TestMaxPool:
         for pool, stride, length in [(1, 1, 5), (2, 2, 9), (3, 1, 7), (2, 3, 10)]:
             out = maxpool1d_forward(MaxPool1D(pool, stride), Tensor(rng.uniform(-1, 1, (1, length, 2))))
             assert out.data[0].shape == ((length - pool) // stride + 1, 2)
+
+
+# batch 100 runs the conv over several blocks and ends in a ragged one, except
+# at length 200 with 200 filters, where a block is one sequence
+BENCH_SHAPES = [(b, n, f, c) for b in (100, 7) for n in (50, 200) for f in (50, 200) for c in (1, 3)]
+
+
+class TestContextKernelsAtBenchShapes:
+    """raesc's conv and pool against the kernels they replaced, byte for byte,
+    forward and backward, at the bench's batch, context and filter sizes."""
+
+    @pytest.mark.parametrize("batch, length, filters, channels", BENCH_SHAPES)
+    def test_conv_matches_unblocked_oracle(self, batch, length, filters, channels):
+        rng = np.random.default_rng([batch, length, filters, channels])
+        layer = Conv1DLayer(channels, filters, 3, rng)
+        layer.b.data[:] = rng.uniform(-1, 1, filters)
+        seq = Tensor(rng.uniform(-1, 1, (batch, length, channels)), requires_grad=True)
+        g = rng.uniform(-1, 1, (batch, length - 2, filters))
+        with Tape() as tape:
+            out = conv1d_forward(layer, seq)
+            backward(tape, sum_all(mul(out, Tensor(g))))
+        got = [out.data, seq.grad, layer.w.grad, layer.b.grad]
+        want = oracle_conv1d_unblocked(seq.data, layer.w.data, layer.b.data, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("pool, stride", [(2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("batch, length, channels", [(b, n - 2, f) for b, n, f, c in BENCH_SHAPES if c == 1])
+    def test_pool_matches_where_oracle(self, batch, length, channels, pool, stride, swapped):
+        rng = np.random.default_rng([batch, length, channels, pool, stride])
+        shape = (batch, length, channels)
+        # a tenth-step grid makes ties common; signed zeros and a few NaNs join it
+        x = rng.integers(-20, 21, shape) / 10.0
+        x[rng.random(shape) < 0.05] = -0.0
+        x[rng.random(shape) < 0.001] = np.nan
+        g = rng.uniform(-1, 1, (batch, (length - pool) // stride + 1, channels))
+        seq = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = maxpool1d_forward(MaxPool1D(pool, stride), seq)
+            if swapped:
+                # as in raesc: the pool's gradient arrives transposed in memory
+                loss = sum_all(mul(swap_last_axes(out), Tensor(g.swapaxes(1, 2).copy())))
+            else:
+                loss = sum_all(mul(out, Tensor(g)))
+            backward(tape, loss)
+        want_out, want_grad = oracle_maxpool_where(x, g, pool, stride)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert seq.grad.tobytes() == want_grad.tobytes()
 
 
 class TestTranspose:
