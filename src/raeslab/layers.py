@@ -54,7 +54,8 @@ class GRULayer:
 
     Gates: z = sig(W_z x + U_z h + b_z), r = sig(W_r x + U_r h + b_r),
     candidate h~ = tanh(W_h x + U_h (r*h) + b_h), and the new state is the
-    convex combination h' = (1 - z)*h + z*h~.
+    convex combination h' = (1 - z)*h + z*h~. The gates are stored stacked,
+    rows in z, r, candidate order: W [3H, input], U [3H, H] and b [3H].
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -63,22 +64,15 @@ class GRULayer:
         self.input_size = input_size
         self.hidden_size = hidden_size
         h, i = hidden_size, input_size
-        self.W_z = init_params((h, i), rng, "W_z")
-        self.U_z = init_params((h, h), rng, "U_z")
-        self.b_z = init_params((h,), rng, "b_z")
-        self.W_r = init_params((h, i), rng, "W_r")
-        self.U_r = init_params((h, h), rng, "U_r")
-        self.b_r = init_params((h,), rng, "b_r")
-        self.W_h = init_params((h, i), rng, "W_h")
-        self.U_h = init_params((h, h), rng, "U_h")
-        self.b_h = init_params((h,), rng, "b_h")
+        # each gate's blocks are drawn on their own [H, in] and [H, H] shapes, which set their
+        # Glorot limits, in the order W_z, U_z, W_r, U_r, W_h, U_h
+        blocks = [init_params(shape, rng).data for _ in "zrh" for shape in ((h, i), (h, h))]
+        self.W = Tensor(np.concatenate(blocks[0::2]), requires_grad=True, name="W")
+        self.U = Tensor(np.concatenate(blocks[1::2]), requires_grad=True, name="U")
+        self.b = init_params((3 * h,), rng, "b")
 
     def parameters(self) -> list[Tensor]:
-        return [
-            self.W_z, self.U_z, self.b_z,
-            self.W_r, self.U_r, self.b_r,
-            self.W_h, self.U_h, self.b_h,
-        ]
+        return [self.W, self.U, self.b]
 
 
 class DenseLayer:
@@ -135,16 +129,15 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     """Unroll the cell over a list of [B, input] steps as one tape record.
 
     h0 is [B, hidden] and the states come back as one [B, T, hidden] tensor.
-    Each step works feature-major on stacked gates: W3 = [W_z; W_r; W_h] times
-    the step's input is one [3H, B] block with contiguous z, r and candidate
-    rows. The state operand is [h; 1], so the stacked state weights
-    [U_z b_z; U_r b_r] and [U_h b_h] add each gate's bias inside their GEMM.
-    The z and r state weights are stacked negated, so the step forms -a for
-    the logistic 1/(1+e^-a) with one subtract, and the new state h + z*(c - h)
-    is written into the next step's state operand. A tape keeps each step's
-    block until the backward has replayed that step; with no tape one block
-    serves every step. The stacked GEMMs sum in another order than per-gate
-    ones: states and gradients match those to 1e-12.
+    Each step works feature-major on the layer's stacked gates: W times the
+    step's input is one [3H, B] block with contiguous z, r and candidate rows.
+    The state operand is [h; 1], so the state weights [U b] add each gate's
+    bias inside their GEMM. Their z and r rows are negated, so the step forms
+    -a for the logistic 1/(1+e^-a) with one subtract, and the new state
+    h + z*(c - h) is written into the next step's state operand. A tape keeps
+    each step's block until the backward has replayed that step; with no tape
+    one block serves every step. The stacked GEMMs sum in another order than
+    per-gate ones: states and gradients match those to 1e-12.
     """
     xs = list(xs)
     if not xs:
@@ -155,11 +148,14 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     if any(x.shape != step_shape for x in xs):
         raise ShapeError(f"gru_forward steps must all be [batch, input_size] {step_shape} for state {h0.shape}")
     params = layer.parameters()
-    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = (p.data for p in params)
+    W, U, b = (p.data for p in params)
     H, B = layer.hidden_size, h0.shape[0]
-    W3 = np.concatenate((W_z, W_r, W_h))
-    nU2b = -np.block([[U_z, b_z[:, None]], [U_r, b_r[:, None]]])
-    Uhb = np.column_stack((U_h, b_h))
+    # b joins U as a last column, since a bias added after the GEMM rounds
+    # differently, and the z and r rows are negated; the tape does not keep
+    # this copy, the backward reads U itself
+    Ub = np.empty((3 * H, H + 1))
+    Ub[:, :H], Ub[:, H] = U, b
+    nU2b, Uhb = np.negative(Ub[: 2 * H], out=Ub[: 2 * H]), Ub[2 * H :]
     # two state operands [h; 1] that the blend writes in turn, and [r*h; 1];
     # scratch takes the step's state-side products
     operands, scratch = np.ones((3, H + 1, B)), np.empty((2 * H, B))
@@ -171,7 +167,7 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     for t, x in enumerate(xs):
         hb, hn = operands[t % 2], operands[1 - t % 2]
         hT = hb[:H]
-        P = np.matmul(W3, x.data.T, out=block)
+        P = np.matmul(W, x.data.T, out=block)
         zr, z, r, cand = P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :]
         np.subtract(np.matmul(nU2b, hb, out=scratch), zr, out=zr)
         _logistic_neg(zr)
@@ -188,19 +184,17 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     def back(g, xs=xs, h0=h0, states=states, saved=saved):
         # Per step the elementwise expressions and their order are those of
         # the per-gate composition replayed in reverse, in place: the spent
-        # block becomes the gate gradient G = [g_z; g_r; g_c], rows as in W3.
+        # block becomes the gate gradient G = [g_z; g_r; g_c], rows as in W.
         # A state's gradient is its head gradient plus the next step's
-        # dh*(1 - z), (U_h^T g_c)*r and U2^T G[:2H]. Against the operands
-        # [h; 1] and [r*h; 1], the state weights' gradient GEMMs return the
-        # bias gradients as their last column. Parameter gradients are running
-        # sums, added into the nine tensors once at the end. The weights are
-        # stacked here again, so the tape holds no stacked copy until the
-        # backward reaches this record.
-        W3, U2 = np.concatenate((W_z, W_r, W_h)), np.concatenate((U_z, U_r))
-        dW3, dU2b, dUhb = np.zeros(W3.shape), np.zeros((2 * H, H + 1)), np.zeros((H, H + 1))
+        # dh*(1 - z), (U_h^T g_c)*r and U_zr^T G[:2H]. Against the operands
+        # [h; 1] and [r*h; 1], the gradient GEMMs of G's z/r and candidate
+        # rows fill those rows of dUb = [dU db], bias gradients as its last
+        # column. Parameter gradients are running sums, added in at the end.
+        U_zr, U_h = U[: 2 * H], U[2 * H :]
+        dW, dUb = np.zeros(W.shape), np.zeros((3 * H, H + 1))
         # one buffer takes each step's input-gradient GEMM and then its three
         # weight-gradient GEMMs in turn
-        shapes = ((B, W3.shape[1]), W3.shape, dU2b.shape, dUhb.shape)
+        shapes = ((B, W.shape[1]), W.shape, (2 * H, H + 1), (H, H + 1))
         gemm = np.empty(max(m * n for m, n in shapes))
         gx, wx, uzr, uh = (gemm[: m * n].reshape(m, n) for m, n in shapes)
         dh = g[:, -1].T.copy()
@@ -233,16 +227,14 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
             if t or h0.requires_grad:
                 np.add(g[:, t - 1].T if t else 0.0, dh, out=q)
                 q += s
-                q += np.matmul(U2.T, G[: 2 * H], out=s)
+                q += np.matmul(U_zr.T, G[: 2 * H], out=s)
                 dh, q = q, dh
             if x.requires_grad:
-                accumulate_grad(x, np.matmul(G.T, W3, out=gx))
-            dW3 += np.matmul(G, x.data, out=wx)
-            dU2b += np.matmul(G[: 2 * H], hb.T, out=uzr)
-            dUhb += np.matmul(cand, rhb.T, out=uh)
-        dU, db = dU2b[:, :H], dU2b[:, H]
-        grads = (dW3[:H], dU[:H], db[:H], dW3[H : 2 * H], dU[H:], db[H:], dW3[2 * H :], dUhb[:, :H], dUhb[:, H])
-        for p, grad in zip((*params, h0), (*grads, dh.T)):
+                accumulate_grad(x, np.matmul(G.T, W, out=gx))
+            dW += np.matmul(G, x.data, out=wx)
+            dUb[: 2 * H] += np.matmul(G[: 2 * H], hb.T, out=uzr)
+            dUb[2 * H :] += np.matmul(cand, rhb.T, out=uh)
+        for p, grad in zip((*params, h0), (dW, dUb[:, :H], dUb[:, H], dh.T)):
             if p.requires_grad:
                 accumulate_grad(p, grad)
 

@@ -40,19 +40,21 @@ class AdamState:
         """One bias-corrected Adam update, applied to the parameters in place.
 
         m = b1 m + (1-b1) g, v = b2 v + (1-b2) g^2, and the step is
-        -lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+        -lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps). Every gradient is
+        checked first, so a missing or non-finite one leaves the parameters,
+        the moments and t as they were.
         """
+        for i, p in enumerate(self.params):
+            label = p.name or f"parameter #{i}"
+            if p.grad is None:
+                raise TrainingError(f"gradient missing for {label}; run backward before AdamState.step")
+            if not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient for {label}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            label = p.name or f"parameter #{i}"
-            if g is None:
-                raise TrainingError(f"gradient missing for {label}; run backward before AdamState.step")
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for {label}")
-            m, v = self.m[i], self.v[i]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

@@ -258,6 +258,29 @@ def oracle_stack_steps(steps):
     return record_op("stack_steps", out, tuple(steps), back)
 
 
+class PerGate:
+    """A GRULayer's stacked W, U and b as the nine per-gate tensors the
+    oracles read, each a view of its row block: a C-contiguous row slice is
+    not copied, so writing a view writes the layer."""
+
+    def __init__(self, layer):
+        self.input_size, self.hidden_size = layer.input_size, layer.hidden_size
+        H = layer.hidden_size
+        for name, p in zip("WUb", layer.parameters()):
+            for k, gate in enumerate("zrh"):
+                view = Tensor(p.data[k * H : (k + 1) * H], requires_grad=True, name=f"{name}_{gate}")
+                assert np.shares_memory(view.data, p.data)
+                setattr(self, f"{name}_{gate}", view)
+
+    def parameters(self):
+        return [getattr(self, f"{name}_{gate}") for gate in "zrh" for name in "WUb"]
+
+    def stacked_grads(self):
+        """The nine gradients concatenated into W's, U's and b's shapes."""
+        grads = [p.grad for p in self.parameters()]
+        return [np.concatenate(grads[k::3]) for k in range(3)]
+
+
 def zeroed_gru(input_size, hidden_size):
     layer = GRULayer(input_size, hidden_size, np.random.default_rng(0))
     for p in layer.parameters():
@@ -298,6 +321,29 @@ class TestGRUStep:
             gru_forward(layer, [Tensor(np.zeros((2, 3)))], Tensor(np.zeros((3, 4))))
 
 
+class TestGRULayerInit:
+    """The stacked parameters hold the per-gate Glorot draws of a layer that
+    stores each gate apart, so initial values and losses stay as they were."""
+
+    @pytest.mark.parametrize(("n_in", "hidden"), [(1, 1), (1, 50), (4, 200), (7, 3)])
+    def test_blocks_are_six_per_gate_draws_in_gate_order(self, n_in, hidden):
+        layer = GRULayer(n_in, hidden, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        W_z, U_z, W_r, U_r, W_h, U_h = (init_params(shape, rng).data for shape in [(hidden, n_in), (hidden, hidden)] * 3)
+        assert np.array_equal(layer.W.data, np.concatenate((W_z, W_r, W_h)))
+        assert np.array_equal(layer.U.data, np.concatenate((U_z, U_r, U_h)))
+        assert np.array_equal(layer.b.data, np.zeros(3 * hidden))
+
+    def test_parameters_are_W_U_b(self):
+        n_in, hidden = 4, 6
+        layer = GRULayer(n_in, hidden, np.random.default_rng(0))
+        params = layer.parameters()
+        assert len(params) == 3 and all(p is q for p, q in zip(params, (layer.W, layer.U, layer.b)))
+        assert [p.shape for p in params] == [(3 * hidden, n_in), (3 * hidden, hidden), (3 * hidden,)]
+        assert sum(p.data.size for p in params) == 3 * hidden * (n_in + hidden + 1)
+        assert all(p.requires_grad for p in params)
+
+
 class TestGRUForward:
     def test_length_one_equals_single_step(self):
         rng = np.random.default_rng(1)
@@ -306,7 +352,7 @@ class TestGRUForward:
         h0 = Tensor(rng.uniform(-1, 1, (1, 3)))
         states = gru_forward(layer, [x], h0)
         assert states.data[0].shape == (1, 3)
-        np.testing.assert_allclose(states.data[0][0], oracle_gru_step(layer, x, h0).data[0], **STACKED_TOLERANCE)
+        np.testing.assert_allclose(states.data[0][0], oracle_gru_step(PerGate(layer), x, h0).data[0], **STACKED_TOLERANCE)
 
     def test_zero_params_zero_outputs(self):
         layer = zeroed_gru(1, 4)
@@ -354,9 +400,10 @@ class TestSaturatedGates:
         z = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
         cand = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
         # on a ones input each gate's input term is ±1000; the Glorot state
-        # terms add at most 6*0.71 and the biases are zero
-        for w, sign in ((layer.W_z, 2 * z - 1), (layer.W_r, rng.choice([-1.0, 1.0], hidden)), (layer.W_h, cand)):
-            w.data[:] = sign[:, None] * (1000.0 / n_in)
+        # terms add at most 6*0.71 and the biases are zero. W's row blocks
+        # are z, r and the candidate
+        signs = np.concatenate((2 * z - 1, rng.choice([-1.0, 1.0], hidden), cand))
+        layer.W.data[:] = signs[:, None] * (1000.0 / n_in)
         xs = [Tensor(np.ones((batch, n_in)), requires_grad=True) for _ in range(n_steps)]
         # dyadic states, so h + z*(cand - h) is exact
         h0 = Tensor(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (batch, hidden)), requires_grad=True)
@@ -409,19 +456,23 @@ class TestGRUStepOracle:
 
     @staticmethod
     def unroll(forward, layer, xs, h0, proj):
+        """States, and the gradients of W, U, b and the distinct inputs; an
+        oracle runs on the per-gate views and its nine gradients are stacked."""
         inputs = list({id(t): t for t in [*xs, h0]}.values())
-        tensors = layer.parameters() + inputs
-        zero_grads(tensors)
+        cell = layer if forward is gru_forward else PerGate(layer)
+        zero_grads(cell.parameters() + inputs)
         with Tape() as tape:
-            states = forward(layer, xs, h0)
+            states = forward(cell, xs, h0)
             backward(tape, sum_all(mul(states, proj)))
-        return states.data, [t.grad for t in tensors]
+        params = [p.grad for p in layer.parameters()] if cell is layer else cell.stacked_grads()
+        return states.data, params + [t.grad for t in inputs]
 
     @staticmethod
     def grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
         rng = np.random.default_rng(50)
         layer = GRULayer(n_in, hidden, rng)
-        for p in layer.parameters():
+        # filled gate by gate, W_z, U_z, b_z, W_r, ..., through the row-block views
+        for p in PerGate(layer).parameters():
             p.data[:] = rng.uniform(-1.5, 1.5, p.shape)
         if shared_x:
             xs = [Tensor(rng.uniform(-2, 2, (batch, n_in)), requires_grad=True)] * n_steps

@@ -111,6 +111,22 @@ class TestAdam:
         with pytest.raises(TrainingError, match="theta"):
             AdamState([p]).step()
 
+    @pytest.mark.parametrize("bad", [None, np.nan, np.inf], ids=["missing", "nan", "inf"])
+    def test_bad_last_gradient_leaves_every_parameter_and_moment_unchanged(self, bad):
+        params = [fresh_param([1.0, -2.0]), fresh_param([0.5])]
+        state = AdamState(params)
+        for p in params:
+            p.grad = np.full(p.shape, 0.3)
+        state.step()
+        before = [a.copy() for a in (*[p.data for p in params], *state.m, *state.v)]
+        params[0].grad = np.full(2, 0.7)
+        params[1].grad = None if bad is None else np.array([bad])
+        with pytest.raises(TrainingError, match="theta"):
+            state.step()
+        after = (*[p.data for p in params], *state.m, *state.v)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert state.t == 1
+
     def test_step_counter_increments_by_one(self):
         p = fresh_param([1.0])
         state = AdamState([p])
