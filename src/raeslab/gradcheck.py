@@ -131,6 +131,13 @@ def _check_gru_forward(rng) -> float:
     return _check_projected(rng, lambda: gru_forward(layer, steps, h0), layer.parameters() + steps + [h0])
 
 
+def _check_gru_final(rng) -> float:
+    layer = GRULayer(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
+    steps = [_rand(rng, 2, layer.input_size) for _ in range(int(rng.integers(1, 8)))]
+    h0 = _rand(rng, 2, layer.hidden_size)
+    return _check_projected(rng, lambda: gru_forward(layer, steps, h0, True), layer.parameters() + steps + [h0])
+
+
 def _check_conv1d(rng) -> float:
     in_ch = int(rng.integers(1, 4))
     kernel = int(rng.integers(1, 4))
@@ -183,6 +190,7 @@ def default_suite(instances: int = 10, seed: int = 2024) -> list[CheckResult]:
         ("dense-head", _check_dense),
         ("gru-step", _check_gru_one_step),
         ("gru-sequence", _check_gru_forward),
+        ("gru-final", _check_gru_final),
         ("conv1d", _check_conv1d),
         ("maxpool1d", _check_maxpool),
         ("transpose", _check_transpose),

@@ -3,7 +3,8 @@
 Every layer takes batches: sequences are [batch, length, channels], GRU
 steps [batch, input] and states [batch, hidden]; one sequence is a batch of
 one. The GRU unrolls a whole list of steps as one tape record and returns
-the states as one [B, T, hidden] tensor; the dense head is one ``linear``
+the states as one [B, T, hidden] tensor, or only the final [B, hidden] state
+for the encoder's context; the dense head is one ``linear``
 over that tensor. Weights are float64 tensors initialized Glorot-uniform;
 biases start at zero.
 """
@@ -125,19 +126,21 @@ class MaxPool1D:
         self.stride = stride
 
 
-def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
+def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
     """Unroll the cell over a list of [B, input] steps as one tape record.
 
-    h0 is [B, hidden] and the states come back as one [B, T, hidden] tensor.
-    Each step works feature-major on the layer's stacked gates: W times the
-    step's input is one [3H, B] block with contiguous z, r and candidate rows.
-    The state operand is [h; 1], so the state weights [U b] add each gate's
-    bias inside their GEMM. Their z and r rows are negated, so the step forms
-    -a for the logistic 1/(1+e^-a) with one subtract, and the new state
-    h + z*(c - h) is written into the next step's state operand. A tape keeps
-    each step's block until the backward has replayed that step; with no tape
-    one block serves every step. The stacked GEMMs sum in another order than
-    per-gate ones: states and gradients match those to 1e-12.
+    h0 is [B, hidden]. The states come back as one [B, T, hidden] tensor or,
+    with ``final`` true, only the last one as [B, hidden] (the encoder's
+    context); untaped, that mode builds no state sequence. Each step works
+    feature-major on the layer's stacked gates: W times the step's input is
+    one [3H, B] block with contiguous z, r and candidate rows. The state
+    operand is [h; 1], so the state weights [U b] add each gate's bias inside
+    their GEMM. Their z and r rows are negated, so the step forms -a for the
+    logistic 1/(1+e^-a) with one subtract, and the new state h + z*(c - h) is
+    written into the next step's state operand. A tape keeps each step's
+    block until the backward has replayed that step; with no tape one block
+    serves every step. The stacked GEMMs sum in another order than per-gate
+    ones: states and gradients match those to 1e-12.
     """
     xs = list(xs)
     if not xs:
@@ -159,25 +162,30 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
     # two state operands [h; 1] that the blend writes in turn, and [r*h; 1];
     # scratch takes the step's state-side products
     operands, scratch = np.ones((3, H + 1, B)), np.empty((2 * H, B))
-    rhb = operands[2]
+    rhb, rh, sH = operands[2], operands[2, :H], scratch[:H]
     operands[0, :H] = h0.data.T
-    states = np.empty((B, len(xs), H))
+    # per parity of t: the state operand, its h rows, the rows the blend writes
+    views = [(operands[i], operands[i, :H], operands[1 - i, :H]) for i in (0, 1)]
     saved = [] if active_tape() is not None else None
+    # the backward reads every state, so only an untaped final mode skips them
+    states = None if final and saved is None else np.empty((B, len(xs), H))
     block = None if saved is not None else np.empty((3 * H, B))
+    # untaped, every step's gate rows are those of the one block
+    gates = None if block is None else (block[: 2 * H], block[:H], block[H : 2 * H], block[2 * H :])
     for t, x in enumerate(xs):
-        hb, hn = operands[t % 2], operands[1 - t % 2]
-        hT = hb[:H]
+        hb, hT, hn = views[t % 2]
         P = np.matmul(W, x.data.T, out=block)
-        zr, z, r, cand = P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :]
+        zr, z, r, cand = gates or (P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :])
         np.subtract(np.matmul(nU2b, hb, out=scratch), zr, out=zr)
         _logistic_neg(zr)
-        np.multiply(r, hT, out=rhb[:H])
-        cand += np.matmul(Uhb, rhb, out=scratch[:H])
+        np.multiply(r, hT, out=rh)
+        cand += np.matmul(Uhb, rhb, out=sH)
         np.tanh(cand, out=cand)
-        d = np.subtract(cand, hT, out=scratch[:H])
+        d = np.subtract(cand, hT, out=sH)
         d *= z
-        np.add(hT, d, out=hn[:H])
-        states[:, t] = hn[:H].T
+        np.add(hT, d, out=hn)
+        if states is not None:
+            states[:, t] = hn.T
         if saved is not None:
             saved.append(P)
 
@@ -185,11 +193,12 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
         # Per step the elementwise expressions and their order are those of
         # the per-gate composition replayed in reverse, in place: the spent
         # block becomes the gate gradient G = [g_z; g_r; g_c], rows as in W.
-        # A state's gradient is its head gradient plus the next step's
-        # dh*(1 - z), (U_h^T g_c)*r and U_zr^T G[:2H]. Against the operands
-        # [h; 1] and [r*h; 1], the gradient GEMMs of G's z/r and candidate
-        # rows fill those rows of dUb = [dU db], bias gradients as its last
-        # column. Parameter gradients are running sums, added in at the end.
+        # A state's gradient is its head gradient (only the last one has one
+        # in final mode) plus the next step's dh*(1 - z), (U_h^T g_c)*r and
+        # U_zr^T G[:2H]. Against the operands [h; 1] and [r*h; 1], the
+        # gradient GEMMs of G's z/r and candidate rows fill those rows of
+        # dUb = [dU db], bias gradients as its last column. Parameter
+        # gradients are running sums, added in at the end.
         U_zr, U_h = U[: 2 * H], U[2 * H :]
         dW, dUb = np.zeros(W.shape), np.zeros((3 * H, H + 1))
         # one buffer takes each step's input-gradient GEMM and then its three
@@ -197,7 +206,7 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
         shapes = ((B, W.shape[1]), W.shape, (2 * H, H + 1), (H, H + 1))
         gemm = np.empty(max(m * n for m, n in shapes))
         gx, wx, uzr, uh = (gemm[: m * n].reshape(m, n) for m, n in shapes)
-        dh = g[:, -1].T.copy()
+        dh = (g if final else g[:, -1]).T.copy()
         hb, rhb = np.ones((2, H + 1, B))
         hT = hb[:H]
         q, s = np.empty((H, B)), np.empty((H, B))
@@ -225,8 +234,11 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
             np.subtract(1.0, r, out=r)
             r *= q
             if t or h0.requires_grad:
-                np.add(g[:, t - 1].T if t else 0.0, dh, out=q)
-                q += s
+                if final:
+                    np.add(dh, s, out=q)
+                else:
+                    np.add(g[:, t - 1].T if t else 0.0, dh, out=q)
+                    q += s
                 q += np.matmul(U_zr.T, G[: 2 * H], out=s)
                 dh, q = q, dh
             if x.requires_grad:
@@ -238,7 +250,7 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor) -> Tensor:
             if p.requires_grad:
                 accumulate_grad(p, grad)
 
-    return record_op("gru_forward", states, (*xs, h0, *params), back)
+    return record_op("gru_forward", hn.T.copy() if final else states, (*xs, h0, *params), back)
 
 
 def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:
@@ -325,7 +337,8 @@ def maxpool1d_forward(pool: MaxPool1D, seq: Tensor) -> Tensor:
         # (b, j, c) sends g to the flat index of (b, j*s + argmax, c), and
         # bincount sums an input shared by overlapping windows in window
         # order. The targets take g's strides, so both flatten in g's memory
-        # order without a copy (g arrives transposed from swap_last_axes)
+        # order without a copy (swap_last_axes passes g on C-contiguous, so
+        # the targets are walked in order)
         batch, windows, channels = g.shape
         target = np.multiply(argmax, channels, dtype=np.intp, out=np.empty_like(g, dtype=np.intp))
         target += ((np.arange(batch)[:, None] * length + np.arange(windows) * s) * channels)[..., None]

@@ -39,7 +39,6 @@ from .tensor import (
     matmul,
     reshape,
     swap_last_axes,
-    take_step,
     unstack_steps,
 )
 
@@ -278,7 +277,7 @@ def encode_context(model: AutoencoderModel, x: Tensor) -> Tensor:
             f"n_features={model.context.n_features}]"
         )
     h0 = Tensor(np.zeros((x.shape[0], model.encoder.hidden_size)))
-    return take_step(gru_forward(model.encoder, unstack_steps(x), h0), -1)
+    return gru_forward(model.encoder, unstack_steps(x), h0, True)
 
 
 def decode_steps(model: AutoencoderModel, steps) -> Tensor:

@@ -347,10 +347,14 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def swap_last_axes(a: Tensor) -> Tensor:
-    """Transpose the final two axes; gradient is the inverse transpose."""
+    """Transpose the final two axes; gradient is the inverse transpose.
+
+    The gradient is a C-contiguous copy, which ``_record`` adopts as it is,
+    so the input's backward reads it in row-major order.
+    """
     if a.ndim < 2:
         raise ShapeError(f"swap_last_axes needs at least 2 axes, got shape {a.shape}")
-    return _record("swap_last_axes", a.data.swapaxes(-1, -2), (a, lambda g: g.swapaxes(-1, -2)))
+    return _record("swap_last_axes", a.data.swapaxes(-1, -2), (a, lambda g: np.ascontiguousarray(g.swapaxes(-1, -2))))
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ from raeslab.tensor import _record
 # op bound in raeslab.gradcheck -> the checks that call it directly
 CHECKS_OF_OP = {
     "time_distributed_dense": {"dense-head"},
-    "gru_forward": {"gru-step", "gru-sequence"},
+    "gru_forward": {"gru-step", "gru-sequence", "gru-final"},
     "conv1d_forward": {"conv1d"},
     "maxpool1d_forward": {"maxpool1d"},
     "swap_last_axes": {"transpose"},

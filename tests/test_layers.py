@@ -29,6 +29,7 @@ from raeslab.tensor import (
     sigmoid,
     sum_all,
     swap_last_axes,
+    take_step,
     tanh_op,
     unstack_steps,
     zero_grads,
@@ -393,6 +394,15 @@ class TestSaturatedGates:
     @pytest.mark.parametrize("errors", ["raise", "warn"])
     @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
     def test_gates_are_exactly_0_and_1_and_nothing_warns(self, taped, errors):
+        self.check(taped, errors, final=False)
+
+    @pytest.mark.parametrize("errors", ["raise", "warn"])
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    def test_final_state_mode_is_exact_and_nothing_warns(self, taped, errors):
+        self.check(taped, errors, final=True)
+
+    @staticmethod
+    def check(taped, errors, final):
         # pytest's filterwarnings = error turns a "warn" into a failure too
         rng = np.random.default_rng(60)
         batch, n_in, hidden, n_steps = 4, 3, 6, 5
@@ -412,16 +422,20 @@ class TestSaturatedGates:
             if taped:
                 zero_grads([*layer.parameters(), *xs, h0])
                 with Tape() as tape:
-                    states = gru_forward(layer, xs, h0)
+                    states = gru_forward(layer, xs, h0, final)
                     backward(tape, sum_all(states))
             else:
-                states = gru_forward(layer, xs, h0)
-        assert all(np.array_equal(states.data[:, t], want) for t in range(n_steps))
+                states = gru_forward(layer, xs, h0, final)
+        if final:
+            assert np.array_equal(states.data, want)
+        else:
+            assert all(np.array_equal(states.data[:, t], want) for t in range(n_steps))
         if taped:
             grads = [t.grad for t in (*layer.parameters(), *xs, h0)]
             assert all(np.all(np.isfinite(g)) for g in grads)
-            # d(sum of states)/dh0 is the number of steps where z is 0 and nothing else
-            assert np.array_equal(h0.grad, np.broadcast_to((1.0 - z) * n_steps, h0.shape))
+            # d(sum of states)/dh0 counts the states it reaches where z is 0, and nothing else
+            reached = 1 if final else n_steps
+            assert np.array_equal(h0.grad, np.broadcast_to((1.0 - z) * reached, h0.shape))
 
 
 def oracle_per_gate(layer, xs, h0):
@@ -546,6 +560,52 @@ class TestGRUStepOracle:
         with Tape() as tape:
             gru_forward(layer, [x] * 5, Tensor(np.zeros((4, 3))))
         assert tape.op_names() == ["gru_forward"]
+
+
+class TestGRUFinalState:
+    """The final-state mode is the last state of the whole sequence, byte for
+    byte: its output and every gradient (W, U, b, each step, h0) equal those
+    of ``take_step(gru_forward(...), -1)``, with and without a tape."""
+
+    @staticmethod
+    def last_state(final, taped, layer, xs, h0, proj):
+        """The last state's bytes and, under a tape, the gradients of W, U, b
+        and the distinct inputs, None where an input takes none."""
+        inputs = list({id(t): t for t in [*xs, h0]}.values())
+        zero_grads(layer.parameters() + inputs)
+
+        def forward():
+            return gru_forward(layer, xs, h0, True) if final else take_step(gru_forward(layer, xs, h0), -1)
+
+        if not taped:
+            return [forward().data]
+        with Tape() as tape:
+            out = forward()
+            backward(tape, sum_all(mul(out, proj)))
+        return [out.data] + [t.grad for t in layer.parameters() + inputs]
+
+    def assert_bytes_equal(self, taped, layer, xs, h0, proj):
+        got = self.last_state(True, taped, layer, xs, h0, proj)
+        want = self.last_state(False, taped, layer, xs, h0, proj)
+        for a, b in zip(got, want, strict=True):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
+    @gru_grid
+    def test_bytes_equal_the_last_state_of_the_sequence(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps, taped):
+        layer, xs, h0, proj = TestGRUStepOracle.grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps)
+        self.assert_bytes_equal(taped, layer, xs, h0, Tensor(proj.data[:, -1]))
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
+    def test_bytes_equal_over_50_encoder_steps(self, taped):
+        # the tiny-f4-T50 encoder's shape, Glorot weights
+        rng = np.random.default_rng(54)
+        layer = GRULayer(4, 50, rng)
+        xs = [Tensor(rng.uniform(-1, 1, (100, 4)), requires_grad=True) for _ in range(50)]
+        h0 = Tensor(rng.uniform(-1, 1, (100, 50)), requires_grad=True)
+        self.assert_bytes_equal(taped, layer, xs, h0, Tensor(rng.uniform(-1, 1, (100, 50))))
 
 
 class TestConv1D:

@@ -26,7 +26,7 @@ from raeslab.models import (
     transform_context,
 )
 from raeslab.optim import mse_loss
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, sum_all, unstack_steps
+from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, sum_all, take_step, unstack_steps, zero_grads
 
 # the benchmark grid: features x sigma at sequence length 200
 GRID_FEATURES = (1, 2, 4, 8)
@@ -283,7 +283,8 @@ class TestForwards:
 
 
 class TestTapeRecords:
-    """One training batch's tape: one record per GRU layer and one for the head."""
+    """One training batch's tape: one record per GRU layer, the encoder's
+    returning the context itself, and one for the head."""
 
     @staticmethod
     def op_names(kind, seq_len, sigma, **kw):
@@ -295,15 +296,15 @@ class TestTapeRecords:
 
     def test_ops_per_variant(self):
         head = ["gru_forward", "linear", "sub", "mul", "mean_all"]
-        assert self.op_names(RAE, 8, 1.0) == ["gru_forward", "step"] + head
-        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "step", "reshape"] + ["step"] * 8 + head
-        raesc = ["gru_forward", "step", "reshape", "conv1d", "maxpool1d", "swap_last_axes"] + ["step"] * 8 + head
+        assert self.op_names(RAE, 8, 1.0) == ["gru_forward"] + head
+        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "reshape"] + ["step"] * 8 + head
+        raesc = ["gru_forward", "reshape", "conv1d", "maxpool1d", "swap_last_axes"] + ["step"] * 8 + head
         assert self.op_names(RAESC, 8, 1.0, kernel_size=2, pool_size=2) == raesc
-        stretch = ["gru_forward", "step", "matmul", "reshape"] + ["step"] * 8 + head
+        stretch = ["gru_forward", "matmul", "reshape"] + ["step"] * 8 + head
         assert self.op_names(RAES_STRETCH, 8, 0.5) == stretch
 
     def test_rae_record_count_independent_of_length(self):
-        assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 7
+        assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 6
 
 
 class TestTapeFreeForward:
@@ -383,6 +384,35 @@ class TestBackwardMemory:
         pooled = decoder_input_features(model.variant, spec)
         kept = batch * seq_len * pooled * 8 + batch * seq_len * pooled
         assert forward_end[RAESC] - forward_end[RAE] <= 1.25 * kept
+
+    def test_final_state_backward_peaks_one_state_sequence_below_take_step(self):
+        # The encoder's shape: univariate steps that take no gradient. The
+        # take_step path zero-fills a [B, T, H] gradient for the states and
+        # holds it through the GRU backward: its peak above the forward is
+        # 1.22 such arrays, the final-state mode's 0.22 (the parameter
+        # gradients and the step buffers). The two differ by that array less
+        # about a hundred bytes of Python objects, which tracemalloc counts
+        # apart in each run. Each backward starts from fresh parameter
+        # gradients.
+        batch, length, hidden = 32, 100, 100
+        layer = GRULayer(1, hidden, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        steps = unstack_steps(Tensor(rng.uniform(-1, 1, (batch, length, 1))))
+        h0 = Tensor(np.zeros((batch, hidden)))
+        proj = Tensor(rng.uniform(-1, 1, (batch, hidden)))
+        above = {}
+        for final in (True, False):
+
+            def loss():
+                last = gru_forward(layer, steps, h0, True) if final else take_step(gru_forward(layer, steps, h0), -1)
+                return sum_all(mul(last, proj))
+
+            zero_grads(layer.parameters())
+            forward_end, _, peak = self.traced_backward(loss)
+            above[final] = peak - forward_end
+        state_bytes = batch * length * hidden * 8
+        assert above[True] <= 0.25 * state_bytes
+        assert above[False] - above[True] >= 0.99 * state_bytes
 
     def test_gru_backward_frees_each_steps_gates_as_it_goes(self):
         # z, r and the candidate take three [B, T, H] arrays, the input
