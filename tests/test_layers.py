@@ -29,7 +29,6 @@ from raeslab.tensor import (
     sigmoid,
     sum_all,
     swap_last_axes,
-    take_step,
     tanh_op,
     unstack_steps,
     zero_grads,
@@ -565,7 +564,7 @@ class TestGRUStepOracle:
 class TestGRUFinalState:
     """The final-state mode is the last state of the whole sequence, byte for
     byte: its output and every gradient (W, U, b, each step, h0) equal those
-    of ``take_step(gru_forward(...), -1)``, with and without a tape."""
+    of ``unstack_steps(gru_forward(...))[-1]``, with and without a tape."""
 
     @staticmethod
     def last_state(final, taped, layer, xs, h0, proj):
@@ -575,7 +574,7 @@ class TestGRUFinalState:
         zero_grads(layer.parameters() + inputs)
 
         def forward():
-            return gru_forward(layer, xs, h0, True) if final else take_step(gru_forward(layer, xs, h0), -1)
+            return gru_forward(layer, xs, h0, True) if final else unstack_steps(gru_forward(layer, xs, h0))[-1]
 
         if not taped:
             return [forward().data]

@@ -26,7 +26,7 @@ from raeslab.models import (
     transform_context,
 )
 from raeslab.optim import mse_loss
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, sum_all, take_step, unstack_steps, zero_grads
+from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, sum_all, unstack_steps, zero_grads
 
 # the benchmark grid: features x sigma at sequence length 200
 GRID_FEATURES = (1, 2, 4, 8)
@@ -297,14 +297,21 @@ class TestTapeRecords:
     def test_ops_per_variant(self):
         head = ["gru_forward", "linear", "sub", "mul", "mean_all"]
         assert self.op_names(RAE, 8, 1.0) == ["gru_forward"] + head
-        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "reshape"] + ["step"] * 8 + head
-        raesc = ["gru_forward", "reshape", "conv1d", "maxpool1d", "swap_last_axes"] + ["step"] * 8 + head
+        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "reshape", "unstack"] + head
+        raesc = ["gru_forward", "reshape", "conv1d", "maxpool1d", "swap_last_axes", "unstack"] + head
         assert self.op_names(RAESC, 8, 1.0, kernel_size=2, pool_size=2) == raesc
-        stretch = ["gru_forward", "matmul", "reshape"] + ["step"] * 8 + head
+        stretch = ["gru_forward", "matmul", "reshape", "unstack"] + head
         assert self.op_names(RAES_STRETCH, 8, 0.5) == stretch
 
     def test_rae_record_count_independent_of_length(self):
-        assert len(self.op_names(RAE, 8, 1.0)) == len(self.op_names(RAE, 16, 1.0)) == 6
+        # every variant, rae's count first; the others unstack their decoder input in one record
+        for kind, sigma, kw, count in [
+            (RAE, 1.0, {}, 6),
+            (RAES, 1.0, {}, 8),
+            (RAESC, 1.0, {"kernel_size": 2, "pool_size": 2}, 11),
+            (RAES_STRETCH, 0.5, {}, 9),
+        ]:
+            assert len(self.op_names(kind, 8, sigma, **kw)) == len(self.op_names(kind, 16, sigma, **kw)) == count
 
 
 class TestTapeFreeForward:
@@ -387,13 +394,14 @@ class TestBackwardMemory:
 
     def test_final_state_backward_peaks_one_state_sequence_below_take_step(self):
         # The encoder's shape: univariate steps that take no gradient. The
-        # take_step path zero-fills a [B, T, H] gradient for the states and
+        # last unstacked state (the take_step path the test is named after)
+        # zero-fills a [B, T, H] gradient for the states and
         # holds it through the GRU backward: its peak above the forward is
         # 1.22 such arrays, the final-state mode's 0.22 (the parameter
         # gradients and the step buffers). The two differ by that array less
-        # about a hundred bytes of Python objects, which tracemalloc counts
-        # apart in each run. Each backward starts from fresh parameter
-        # gradients.
+        # about 12 KB: the unstack record's T step slots, which the forward
+        # counts and its replay frees. Each backward starts from fresh
+        # parameter gradients.
         batch, length, hidden = 32, 100, 100
         layer = GRULayer(1, hidden, np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -404,7 +412,7 @@ class TestBackwardMemory:
         for final in (True, False):
 
             def loss():
-                last = gru_forward(layer, steps, h0, True) if final else take_step(gru_forward(layer, steps, h0), -1)
+                last = gru_forward(layer, steps, h0, True) if final else unstack_steps(gru_forward(layer, steps, h0))[-1]
                 return sum_all(mul(last, proj))
 
             zero_grads(layer.parameters())

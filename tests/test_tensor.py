@@ -27,7 +27,6 @@ from raeslab.tensor import (
     sub,
     sum_all,
     swap_last_axes,
-    take_step,
     tanh_op,
     unstack_steps,
     zero_grads,
@@ -118,6 +117,76 @@ BINARY_ORACLES = {
 def _loss_with_upstream(out, g):
     """A scalar loss whose gradient with respect to ``out`` is exactly ``g``."""
     return sum_all(mul(out, Tensor(g)))
+
+
+def oracle_take_step(t, i):
+    """Step ``i`` along the second-to-last axis as its own ``step`` record, whose
+    backward zero-fills ``t``'s gradient on first use and adds into the step:
+    the scatter ``unstack_steps`` once recorded per step."""
+    idx = (slice(None),) * (t.ndim - 2) + (i,)
+    slot = t.slot
+
+    def back(g):
+        if slot.grad is None:
+            slot.grad = np.zeros(slot.shape)
+        slot.grad[idx] += g
+
+    return record_op("step", t.data[idx], (t,), back)
+
+
+def oracle_unstack(t):
+    return [oracle_take_step(t, i) for i in range(t.shape[-2])]
+
+
+class TestUnstackMatchesTakeStepOracle:
+    """``unstack_steps``' one record leaves the gradients of T ``oracle_take_step``
+    records, byte for byte, however many of its steps the loss reads."""
+
+    @staticmethod
+    def grads(split, shape, uses, other_consumer):
+        """The gradients of ``x`` and of a bystander leaf after a loss that reads
+        steps ``uses`` of ``split(x)`` (repeats allowed) and, with
+        ``other_consumer``, ``x`` itself through an op recorded after the split,
+        which replays first."""
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+        bystander = Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
+        projs = rng.uniform(-1, 1, (len(uses),) + shape[:-2] + shape[-1:])
+        with Tape() as tape:
+            steps = split(x)
+            loss = sum_all(mul(bystander, bystander))
+            for i, proj in zip(uses, projs):
+                loss = add(loss, sum_all(mul(steps[i], Tensor(proj))))
+            if other_consumer:
+                loss = add(loss, sum_all(mul(x, Tensor(rng.uniform(-1, 1, shape)))))
+            backward(tape, loss)
+        assert all(s.grad is None for s in steps)
+        return [None if t.grad is None else t.grad.tobytes() for t in (x, bystander)]
+
+    @pytest.mark.parametrize("other_consumer", [False, True], ids=["alone", "other-consumer"])
+    @pytest.mark.parametrize(
+        "uses", [[0, 1, 2, 3, 4], [4, 1], [2, 2], []], ids=["every-step", "subset", "step-twice", "no-step"]
+    )
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 2, 5, 3)], ids=["2d", "3d", "4d"])
+    def test_gradients_match_the_oracle_byte_for_byte(self, shape, uses, other_consumer):
+        got = self.grads(unstack_steps, shape, uses, other_consumer)
+        assert got == self.grads(oracle_unstack, shape, uses, other_consumer)
+        assert got[1] is not None
+        assert (got[0] is None) == (not uses and not other_consumer)
+
+    def test_one_record_under_a_tape_and_none_without(self):
+        x = Tensor(np.random.default_rng(22).uniform(-1, 1, (2, 5, 3)), requires_grad=True)
+        untaped = unstack_steps(x)
+        with Tape() as tape:
+            constant = unstack_steps(Tensor(x.data))
+            assert len(tape) == 0
+            taped = unstack_steps(x)
+        assert tape.op_names() == ["unstack"]
+        assert not any(s.requires_grad for s in untaped + constant)
+        assert all(s.requires_grad for s in taped)
+        for steps in (untaped, constant, taped):
+            assert [s.data.tobytes() for s in steps] == [x.data[:, i].tobytes() for i in range(5)]
+            assert all(s.data.flags.c_contiguous for s in steps)
 
 
 class TestBinaryOpContract:
@@ -374,7 +443,8 @@ class TestTapeHoldsGradientSlots:
         "swap_last_axes": lambda y, v: swap_last_axes(y),
         "sum_all": lambda y, v: sum_all(y),
         "mean_all": lambda y, v: mean_all(y),
-        "take_step": lambda y, v: take_step(y, 1),
+        "take_step": lambda y, v: oracle_take_step(y, 1),
+        "unstack_steps": lambda y, v: unstack_steps(y)[1],
         "maxpool1d_forward": lambda y, v: maxpool1d_forward(MaxPool1D(2, 2), y),
     }
 
@@ -481,7 +551,7 @@ class TestTensorInvariants:
     def test_take_step_scatters_gradient(self):
         x = Tensor(np.arange(12.0).reshape(2, 3, 2), requires_grad=True)
         with Tape() as tape:
-            last = take_step(x, -1)
+            last = oracle_take_step(x, -1)
             backward(tape, sum_all(mul(last, last)))
         assert tape.op_names() == ["step", "mul", "sum_all"]
         expected = np.zeros((2, 3, 2))
@@ -537,11 +607,6 @@ class TestOperandShapeErrors:
                 lambda: swap_last_axes(Tensor(np.zeros(3))),
                 r"^swap_last_axes needs at least 2 axes, got shape \(3,\)$",
                 id="swap_last_axes-1d",
-            ),
-            pytest.param(
-                lambda: take_step(Tensor(np.zeros(3)), 0),
-                r"^take_step needs at least 2 axes, got shape \(3,\)$",
-                id="take_step-1d",
             ),
             pytest.param(
                 lambda: unstack_steps(Tensor(np.zeros(3))),
