@@ -132,15 +132,16 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
     h0 is [B, hidden]. The states come back as one [B, T, hidden] tensor or,
     with ``final`` true, only the last one as [B, hidden] (the encoder's
     context); untaped, that mode builds no state sequence. Each step works
-    feature-major on the layer's stacked gates: W times the step's input is
-    one [3H, B] block with contiguous z, r and candidate rows. The state
-    operand is [h; 1], so the state weights [U b] add each gate's bias inside
-    their GEMM. Their z and r rows are negated, so the step forms -a for the
-    logistic 1/(1+e^-a) with one subtract, and the new state h + z*(c - h) is
-    written into the next step's state operand. A tape keeps each step's
-    block until the backward has replayed that step; with no tape one block
-    serves every step. The stacked GEMMs sum in another order than per-gate
-    ones: states and gradients match those to 1e-12.
+    feature-major on the layer's stacked gates, with two GEMMs into one
+    [3H, B] block with contiguous z, r and candidate rows. Both read one
+    operand [h; 1; x; r*h], which holds the step's input: the z/r GEMM reads
+    its rows [h; 1; x] with the weights -[U b W] of those gates, so it writes
+    -a for the logistic 1/(1+e^-a), and the candidate GEMM reads its rows
+    [1; x; r*h] with [b W U]. The new state h + z*(c - h) is written into
+    the next step's operand. A tape keeps each step's block until the
+    backward has replayed that step; with no tape one block serves every
+    step. The stacked GEMMs sum in another order than per-gate ones: states
+    and gradients match those to 1e-12.
     """
     xs = list(xs)
     if not xs:
@@ -152,20 +153,23 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
         raise ShapeError(f"gru_forward steps must all be [batch, input_size] {step_shape} for state {h0.shape}")
     params = layer.parameters()
     W, U, b = (p.data for p in params)
-    H, B = layer.hidden_size, h0.shape[0]
-    # b joins U as a last column, since a bias added after the GEMM rounds
-    # differently, and the z and r rows are negated; the tape does not keep
-    # this copy, the backward reads U itself
-    Ub = np.empty((3 * H, H + 1))
-    Ub[:, :H], Ub[:, H] = U, b
-    nU2b, Uhb = np.negative(Ub[: 2 * H], out=Ub[: 2 * H]), Ub[2 * H :]
-    # two state operands [h; 1] that the blend writes in turn, and [r*h; 1];
-    # scratch takes the step's state-side products
-    operands, scratch = np.ones((3, H + 1, B)), np.empty((2 * H, B))
-    rhb, rh, sH = operands[2], operands[2, :H], scratch[:H]
+    H, B, n = layer.hidden_size, h0.shape[0], layer.input_size
+    # the biases join the GEMMs, since a bias added after one rounds
+    # differently; the tape does not keep these copies, the backward reads
+    # W and U themselves
+    nUbW = np.concatenate((U[: 2 * H], b[: 2 * H, None], W[: 2 * H]), axis=1)
+    np.negative(nUbW, out=nUbW)
+    bWU = np.concatenate((b[2 * H :, None], W[2 * H :], U[2 * H :]), axis=1)
+    # per parity of t an operand [h; 1; x; r*h]: the blend writes h into the
+    # other one; scratch takes h~ - h
+    operands, scratch = np.ones((2, 2 * H + 1 + n, B)), np.empty((H, B))
     operands[0, :H] = h0.data.T
-    # per parity of t: the state operand, its h rows, the rows the blend writes
-    views = [(operands[i], operands[i, :H], operands[1 - i, :H]) for i in (0, 1)]
+    # per parity: the z/r and candidate operands, the h, x and r*h rows and
+    # the rows the blend writes
+    views = [
+        (o[: H + 1 + n], o[H:], o[:H], o[H + 1 : H + 1 + n], o[H + 1 + n :], operands[1 - i, :H])
+        for i, o in enumerate(operands)
+    ]
     saved = [] if active_tape() is not None else None
     # the backward reads every state, so only an untaped final mode skips them
     states = None if final and saved is None else np.empty((B, len(xs), H))
@@ -173,15 +177,14 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
     # untaped, every step's gate rows are those of the one block
     gates = None if block is None else (block[: 2 * H], block[:H], block[H : 2 * H], block[2 * H :])
     for t, x in enumerate(xs):
-        hb, hT, hn = views[t % 2]
-        P = np.matmul(W, x.data.T, out=block)
+        hxb, crh, hT, xT, rh, hn = views[t % 2]
+        np.copyto(xT, x.data.T)
+        P = np.empty((3 * H, B)) if block is None else block
         zr, z, r, cand = gates or (P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :])
-        np.subtract(np.matmul(nU2b, hb, out=scratch), zr, out=zr)
-        _logistic_neg(zr)
+        _logistic_neg(np.matmul(nUbW, hxb, out=zr))
         np.multiply(r, hT, out=rh)
-        cand += np.matmul(Uhb, rhb, out=sH)
-        np.tanh(cand, out=cand)
-        d = np.subtract(cand, hT, out=sH)
+        np.tanh(np.matmul(bWU, crh, out=cand), out=cand)
+        d = np.subtract(cand, hT, out=scratch)
         d *= z
         np.add(hT, d, out=hn)
         if states is not None:

@@ -245,6 +245,82 @@ def oracle_gru_inplace(layer, xs, h0):
     return record_op("gru_inplace", states, (*xs, h0, *params), back)
 
 
+def oracle_gru_split(layer, xs, h0):
+    """The split-GEMM kernel the fused one replaced, kept as an oracle.
+
+    Each step runs its input GEMM W x into a [3H, B] block, then a state GEMM
+    against [h; 1] for the z/r rows, merged by a subtract, and one against
+    [r*h; 1] for the candidate rows, merged by an add. Its backward is the
+    one ``gru_forward`` keeps, which reads the same post-activation block.
+    """
+    xs = list(xs)
+    params = layer.parameters()
+    W, U, b = (p.data for p in params)
+    H, B = layer.hidden_size, h0.shape[0]
+    Ub = np.empty((3 * H, H + 1))
+    Ub[:, :H], Ub[:, H] = U, b
+    nU2b, Uhb = np.negative(Ub[: 2 * H], out=Ub[: 2 * H]), Ub[2 * H :]
+    operands, scratch = np.ones((3, H + 1, B)), np.empty((2 * H, B))
+    rhb, rh, sH = operands[2], operands[2, :H], scratch[:H]
+    operands[0, :H] = h0.data.T
+    states, saved = np.empty((B, len(xs), H)), []
+    for t, x in enumerate(xs):
+        hb, hT, hn = operands[t % 2], operands[t % 2, :H], operands[1 - t % 2, :H]
+        P = W @ x.data.T
+        zr, z, r, cand = P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :]
+        np.subtract(np.matmul(nU2b, hb, out=scratch), zr, out=zr)
+        _logistic_neg(zr)
+        np.multiply(r, hT, out=rh)
+        cand += np.matmul(Uhb, rhb, out=sH)
+        np.tanh(cand, out=cand)
+        d = np.subtract(cand, hT, out=sH)
+        d *= z
+        np.add(hT, d, out=hn)
+        states[:, t] = hn.T
+        saved.append(P)
+
+    def back(g, xs=xs, h0=h0, states=states, saved=saved):
+        U_zr, U_h = U[: 2 * H], U[2 * H :]
+        dW, dUb = np.zeros(W.shape), np.zeros((3 * H, H + 1))
+        dh = g[:, -1].T.copy()
+        hb, rhb = np.ones((2, H + 1, B))
+        hT = hb[:H]
+        q, s = np.empty((H, B)), np.empty((H, B))
+        for t in range(len(xs) - 1, -1, -1):
+            x, G = xs[t], saved[t]
+            z, r, cand = G[:H], G[H : 2 * H], G[2 * H :]
+            np.copyto(hT, states[:, t - 1].T if t else h0.data.T)
+            np.multiply(np.subtract(cand, hT, out=q), dh, out=q)
+            np.subtract(1.0, np.multiply(cand, cand, out=s), out=s)
+            np.multiply(dh, z, out=cand)
+            cand *= s
+            dh *= np.subtract(1.0, z, out=s)
+            z *= q
+            z *= s
+            np.matmul(U_h.T, cand, out=s)
+            np.multiply(s, hT, out=q)
+            q *= r
+            np.multiply(r, hT, out=rhb[:H])
+            s *= r
+            np.subtract(1.0, r, out=r)
+            r *= q
+            if t or h0.requires_grad:
+                np.add(g[:, t - 1].T if t else 0.0, dh, out=q)
+                q += s
+                q += np.matmul(U_zr.T, G[: 2 * H], out=s)
+                dh, q = q, dh
+            if x.requires_grad:
+                accumulate_grad(x, G.T @ W)
+            dW += G @ x.data
+            dUb[: 2 * H] += G[: 2 * H] @ hb.T
+            dUb[2 * H :] += cand @ rhb.T
+        for p, grad in zip((*params, h0), (dW, dUb[:, :H], dUb[:, H], dh.T)):
+            if p.requires_grad:
+                accumulate_grad(p, grad)
+
+    return record_op("gru_split", states, (*xs, h0, *params), back)
+
+
 def oracle_stack_steps(steps):
     """Per-step states [B, H] stacked to [B, T, H] as one tape record."""
     axis = steps[0].ndim - 1
@@ -452,27 +528,30 @@ def gru_grid(test):
     test = pytest.mark.parametrize("n_steps", [1, 6], ids=["gru_step", "gru_forward"])(test)
     test = pytest.mark.parametrize("shared_x", [False, True])(test)
     test = pytest.mark.parametrize("h_requires_grad", [True, False])(test)
-    # the bench-sized case runs numpy's in-place tanh at full SIMD width
-    shapes = [(1, 5, 7), (4, 5, 7), (100, 50, 50)]
-    return pytest.mark.parametrize(("batch", "n_in", "hidden"), shapes, ids=["1", "4", "100x50x50"])(test)
+    # the bench-sized case runs numpy's in-place tanh at full SIMD width;
+    # one input feature fills the operand's x rows with a single row
+    shapes = [(1, 5, 7), (4, 5, 7), (4, 1, 7), (100, 50, 50)]
+    return pytest.mark.parametrize(("batch", "n_in", "hidden"), shapes, ids=["1", "4", "4x1x7", "100x50x50"])(test)
 
 
-# The stacked kernel's GEMMs sum in another order than the oracles' per-gate
-# ones; states and gradients have differed by at most 1e-13.
+# The fused kernel's GEMMs sum in another order than the oracles' per-gate
+# and split ones; states and gradients have differed by at most 1e-13.
 STACKED_TOLERANCE = {"rtol": 1e-12, "atol": 1e-12}
 
 
 class TestGRUStepOracle:
     """The one-record kernels against the per-gate composition: the in-place
-    oracle keeps its bits forward and backward, the stacked kernel agrees
-    with both to STACKED_TOLERANCE."""
+    oracle keeps its bits forward and backward, and the fused kernel agrees
+    with it, with the per-gate composition and with the split-GEMM kernel
+    to STACKED_TOLERANCE."""
 
     @staticmethod
     def unroll(forward, layer, xs, h0, proj):
         """States, and the gradients of W, U, b and the distinct inputs; an
-        oracle runs on the per-gate views and its nine gradients are stacked."""
+        per-gate oracle runs on the per-gate views and its nine gradients are
+        stacked."""
         inputs = list({id(t): t for t in [*xs, h0]}.values())
-        cell = layer if forward is gru_forward else PerGate(layer)
+        cell = layer if forward in (gru_forward, oracle_gru_split) else PerGate(layer)
         zero_grads(cell.parameters() + inputs)
         with Tape() as tape:
             states = forward(cell, xs, h0)
@@ -497,7 +576,7 @@ class TestGRUStepOracle:
 
     def assert_matches_both_oracles(self, *case):
         states, grads = self.unroll(gru_forward, *case)
-        for oracle in (oracle_gru_inplace, oracle_per_gate):
+        for oracle in (oracle_gru_inplace, oracle_per_gate, oracle_gru_split):
             want_states, want_grads = self.unroll(oracle, *case)
             np.testing.assert_allclose(states, want_states, **STACKED_TOLERANCE)
             for got, want in zip(grads, want_grads):
@@ -519,14 +598,20 @@ class TestGRUStepOracle:
     def test_stacked_kernel_matches_both_oracles(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps):
         self.assert_matches_both_oracles(*self.grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps))
 
-    @pytest.mark.parametrize(("n_in", "hidden"), [(4, 200), (200, 200)], ids=["100x4x200", "100x200x200"])
-    def test_stacked_kernel_matches_both_oracles_over_50_bench_sized_steps(self, n_in, hidden):
+    # paper's encoder and the λ = 1 raes decoder take one feature; paper
+    # validates on a batch of 25
+    @pytest.mark.parametrize(
+        ("batch", "n_in", "hidden"),
+        [(100, 4, 200), (100, 200, 200), (100, 1, 200), (25, 1, 200)],
+        ids=["100x4x200", "100x200x200", "100x1x200", "25x1x200"],
+    )
+    def test_stacked_kernel_matches_both_oracles_over_50_bench_sized_steps(self, batch, n_in, hidden):
         # Glorot weights: the grid's ±1.5-uniform ones diverge over 50 steps
         rng = np.random.default_rng(53)
         layer = GRULayer(n_in, hidden, rng)
-        xs = [Tensor(rng.uniform(-1, 1, (100, n_in)), requires_grad=True) for _ in range(50)]
-        h0 = Tensor(rng.uniform(-1, 1, (100, hidden)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (100, 50, hidden)))
+        xs = [Tensor(rng.uniform(-1, 1, (batch, n_in)), requires_grad=True) for _ in range(50)]
+        h0 = Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, (batch, 50, hidden)))
         self.assert_matches_both_oracles(layer, xs, h0, proj)
 
     @pytest.mark.parametrize("shared_x", [False, True])
@@ -939,6 +1024,21 @@ class TestLayerGradients:
             return sum_all(mul(gru_forward(layer, xs, Tensor(np.zeros((1, 1)))), proj))
 
         assert check_gradients(build, layer.parameters()) < 1e-4
+
+    # the operand's x rows: a single row, and more rows than the state's
+    @pytest.mark.parametrize(("n_in", "hidden"), [(1, 3), (5, 2)], ids=["input-1", "input-wider-than-hidden"])
+    def test_gru_input_sizes(self, n_in, hidden):
+        rng = np.random.default_rng(33)
+        layer = GRULayer(n_in, hidden, rng)
+        layer.b.data[:] = rng.uniform(-0.5, 0.5, 3 * hidden)
+        xs = [Tensor(rng.uniform(-1, 1, (2, n_in)), requires_grad=True) for _ in range(3)]
+        h0 = Tensor(rng.uniform(-1, 1, (2, hidden)), requires_grad=True)
+        proj = Tensor(rng.uniform(-1, 1, (2, 3, hidden)))
+
+        def build():
+            return sum_all(mul(gru_forward(layer, xs, h0), proj))
+
+        assert check_gradients(build, layer.parameters() + xs + [h0]) < 1e-4
 
     def test_conv_length_equals_kernel(self):
         rng = np.random.default_rng(31)

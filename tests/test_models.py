@@ -327,12 +327,22 @@ class TestTapeFreeForward:
         decoder = gru_forward(model.decoder, steps, Tensor(np.zeros((batch, model.decoder.hidden_size))))
         return [encoder.data, decoder.data, model.forward(x).data]
 
-    # the benchmark's tiny-f4-T50 and desk-f4-T50 cells: contexts of 50 and 200
-    @pytest.mark.parametrize("sigma", [0.25, 1.0], ids=["tiny", "desk"])
-    @pytest.mark.parametrize("kind", [RAE, RAES, RAESC])
-    def test_states_bit_identical_with_and_without_a_tape(self, kind, sigma):
-        model, _ = build_model(kind, seq_len=50, n_features=4, sigma=sigma)
-        x = Tensor(np.random.default_rng(14).uniform(-1, 1, (100, 50, 4)))
+    # the benchmark's cells as (seq_len, features, sigma, batch): tiny-f4-T50
+    # and desk-f4-T50 with contexts of 50 and 200, and paper-f1-T200 at its
+    # validation batch
+    CELLS = {"tiny": (50, 4, 0.25, 100), "desk": (50, 4, 1.0, 100), "paper": (200, 1, 1.0, 25)}
+
+    @pytest.mark.parametrize(
+        ("kind", "cell"),
+        [(kind, cell) for kind in (RAE, RAES, RAESC) for cell in ("tiny", "desk")]
+        + [(RAES_STRETCH, "tiny")]
+        + [(kind, "paper") for kind in (RAE, RAES, RAESC, RAES_STRETCH)],
+        ids=lambda v: v,
+    )
+    def test_states_bit_identical_with_and_without_a_tape(self, kind, cell):
+        seq_len, n_features, sigma, batch = self.CELLS[cell]
+        model, _ = build_model(kind, seq_len=seq_len, n_features=n_features, sigma=sigma)
+        x = Tensor(np.random.default_rng(14).uniform(-1, 1, (batch, seq_len, n_features)))
         untaped = self.states(model, x)
         with Tape():
             taped = self.states(model, x)
