@@ -24,22 +24,7 @@ from .layers import (
     time_distributed_dense,
 )
 from .optim import mse_loss
-from .tensor import (
-    Tape,
-    Tensor,
-    add,
-    backward,
-    matmul,
-    mean_all,
-    mul,
-    reshape,
-    sigmoid,
-    sub,
-    sum_all,
-    swap_last_axes,
-    tanh_op,
-    zero_grads,
-)
+from .tensor import Tape, Tensor, _record, backward, matmul, reshape, swap_last_axes, zero_grads
 
 __all__ = ["check_gradients", "CheckResult", "default_suite"]
 
@@ -92,23 +77,28 @@ def _rand(rng, *shape) -> Tensor:
 
 
 def _check_projected(rng, block, tensors) -> float:
-    """Check ``block`` through a fixed random projection of its output; one
-    forward without a tape gives the shape, and it draws nothing from ``rng``."""
-    r = Tensor(rng.uniform(-1.0, 1.0, size=block().shape))
-    return check_gradients(lambda: sum_all(mul(block(), r)), tensors)
+    """Check ``block`` through a fixed random projection of its output, the
+    scalar sum(y * r), whose gradient with respect to y is r; one forward
+    without a tape gives the shape, and it draws nothing from ``rng``."""
+    r = rng.uniform(-1.0, 1.0, size=block().shape)
+
+    def build():
+        y = block()
+        return _record("project", np.asarray((y.data * r).sum()), (y, lambda g: g * r))
+
+    return check_gradients(build, tensors)
 
 
 def _check_core_ops(rng) -> float:
     x = _rand(rng, 3, 4)
     w = _rand(rng, 4, 3)
+    target = _rand(rng, 9)
 
     def build():
-        y = tanh_op(matmul(x, w))
-        z = sigmoid(reshape(y, (9,)))
-        s = add(mul(z, z), sub(1.0, z))
-        return mean_all(mul(s, s))
+        y = matmul(x, w)
+        return mse_loss(reshape(matmul(y, y), (9,)), target)
 
-    return check_gradients(build, [x, w])
+    return check_gradients(build, [x, w, target])
 
 
 def _check_dense(rng) -> float:

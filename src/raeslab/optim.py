@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, mean_all, mul, sub
+from .tensor import ShapeError, Tensor, _record
 
 __all__ = ["TrainingError", "mse_loss", "AdamState"]
 
@@ -14,11 +14,22 @@ class TrainingError(RuntimeError):
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean over all elements of the squared difference; differentiable."""
+    """Mean over all elements of the squared difference, as one ``mse`` record.
+
+    With d = pred - target, the backward gives pred t = 2 d g / size and a
+    target that requires grad -t. t is formed as (g/size) d added to itself,
+    so its bits are those of a sub, mul and mean chain of records.
+    """
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss shape mismatch: {pred.shape} vs {target.shape}")
-    diff = sub(pred, target)
-    return mean_all(mul(diff, diff))
+    d = pred.data - target.data
+
+    def twice(g):
+        t = np.broadcast_to(g / d.size, d.shape) * d
+        t += t
+        return t
+
+    return _record("mse", np.asarray((d * d).mean()), (pred, twice), (target, lambda g: -twice(g)))
 
 
 BETA1 = 0.9

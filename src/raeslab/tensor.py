@@ -1,17 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The operation set is deliberately small: exactly what recurrent layers, a 1D
-convolution stack and an MSE head need. Every op takes ``Tensor`` operands
-and converts nothing; ``add``, ``sub`` and ``mul`` also take a Python int or
-float on either side, as a 0-d constant. ``unstack_steps`` splits a sequence
-[..., T, m] into steps in one ``unstack`` record. Values live in row-major
+The operation set is deliberately small: exactly what the models run besides
+their fused layer kernels. Every op takes ``Tensor`` operands and converts
+nothing. ``unstack_steps`` splits a sequence [..., T, m] into steps in one
+``unstack`` record. Values live in row-major
 (C-contiguous) numpy float64 arrays; gradients are arrays of the same shape,
 allocated lazily during the backward pass and accumulated additively across
 fan-out.
 
 The tape keeps gradients, not values. Every tensor owns a ``GradSlot`` (its
 shape and ``grad``); tape records and ``_record`` terms hold slots, and a
-backward closure keeps a value only where its backward reads it (``mul``
+backward closure keeps a value only where its backward reads it (``matmul``
 keeps the other operand for each input's gradient, ``reshape`` only its
 input's shape). A forward value no backward reads is freed as soon as its
 caller drops the tensor. The backward
@@ -39,17 +38,10 @@ __all__ = [
     "accumulate_grad",
     "backward",
     "zero_grads",
-    "add",
-    "sub",
-    "mul",
     "matmul",
     "linear",
-    "sigmoid",
-    "tanh_op",
     "reshape",
     "swap_last_axes",
-    "sum_all",
-    "mean_all",
     "unstack_steps",
 ]
 
@@ -238,40 +230,7 @@ def _record(name: str, data: np.ndarray, *terms) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and arithmetic ops
-
-
-def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as tensors; a Python int or float becomes a 0-d constant."""
-    if isinstance(b, (int, float)):
-        return a, Tensor(float(b))
-    if isinstance(a, (int, float)):
-        return Tensor(float(a)), b
-    if a.shape != b.shape:
-        raise ShapeError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def _identity(g):
-    return g
-
-
-def add(a, b) -> Tensor:
-    """Elementwise sum; either operand may be a scalar."""
-    a, b = _operands("add", a, b)
-    return _record("add", a.data + b.data, (a, _identity), (b, _identity))
-
-
-def sub(a, b) -> Tensor:
-    """Elementwise difference; either operand may be a scalar."""
-    a, b = _operands("sub", a, b)
-    return _record("sub", a.data - b.data, (a, _identity), (b, np.negative))
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise (Hadamard) product; either operand may be a scalar."""
-    a, b = _operands("mul", a, b)
-    return _record("mul", a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+# matrix products, and the logistic that gru_forward runs
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -322,20 +281,8 @@ def _logistic_neg(m: np.ndarray) -> np.ndarray:
     return np.reciprocal(m, out=m)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Elementwise logistic function, exactly 0 or 1 on saturated tails, with no overflow warning."""
-    s = _logistic_neg(np.negative(a.data))
-    return _record("sigmoid", s, (a, lambda g: g * s * (1.0 - s)))
-
-
-def tanh_op(a: Tensor) -> Tensor:
-    """Elementwise hyperbolic tangent."""
-    t = np.tanh(a.data)
-    return _record("tanh", t, (a, lambda g: g * (1.0 - t * t)))
-
-
 # ---------------------------------------------------------------------------
-# shape and reduction ops
+# shape ops
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -356,18 +303,6 @@ def swap_last_axes(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"swap_last_axes needs at least 2 axes, got shape {a.shape}")
     return _record("swap_last_axes", a.data.swapaxes(-1, -2), (a, lambda g: np.ascontiguousarray(g.swapaxes(-1, -2))))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    shape = a.shape
-    return _record("sum_all", np.asarray(a.data.sum()), (a, lambda g: np.broadcast_to(g, shape)))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    """Mean of all elements, as a scalar tensor."""
-    shape, size = a.shape, a.size
-    return _record("mean_all", np.asarray(a.data.mean()), (a, lambda g: np.broadcast_to(g / size, shape)))
 
 
 def unstack_steps(t: Tensor) -> list[Tensor]:

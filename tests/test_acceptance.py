@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criteria 4 and 5 train real
 models at desk scale: on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) `--durations`
-put criterion 4 at 133-153 s and criterion 5 at 29-49 s over three runs. The
+put criterion 4 at 83-96 s and criterion 5 at 19-24 s over three runs. The
 remaining criteria finish in seconds.
 """
 

@@ -8,6 +8,8 @@ from raeslab.tensor import _record
 
 # op bound in raeslab.gradcheck -> the checks that call it directly
 CHECKS_OF_OP = {
+    "matmul": {"core-ops"},
+    "reshape": {"core-ops"},
     "time_distributed_dense": {"dense-head"},
     "gru_forward": {"gru-step", "gru-sequence", "gru-final"},
     "conv1d_forward": {"conv1d"},

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from twins import mul, project, sigmoid, sum_all, tanh_op
+
 from raeslab.gradcheck import check_gradients
 from raeslab.layers import (
     Conv1DLayer,
@@ -24,12 +26,8 @@ from raeslab.tensor import (
     active_tape,
     backward,
     linear,
-    mul,
     record_op,
-    sigmoid,
-    sum_all,
     swap_last_axes,
-    tanh_op,
     unstack_steps,
     zero_grads,
 )
@@ -555,7 +553,7 @@ class TestGRUStepOracle:
         zero_grads(cell.parameters() + inputs)
         with Tape() as tape:
             states = forward(cell, xs, h0)
-            backward(tape, sum_all(mul(states, proj)))
+            backward(tape, project(states, proj))
         params = [p.grad for p in layer.parameters()] if cell is layer else cell.stacked_grads()
         return states.data, params + [t.grad for t in inputs]
 
@@ -571,7 +569,7 @@ class TestGRUStepOracle:
         else:
             xs = [Tensor(rng.uniform(-2, 2, (batch, n_in)), requires_grad=True) for _ in range(n_steps)]
         h0 = Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=h_requires_grad)
-        proj = Tensor(rng.uniform(-1, 1, (batch, n_steps, hidden)))
+        proj = rng.uniform(-1, 1, (batch, n_steps, hidden))
         return layer, xs, h0, proj
 
     def assert_matches_both_oracles(self, *case):
@@ -611,7 +609,7 @@ class TestGRUStepOracle:
         layer = GRULayer(n_in, hidden, rng)
         xs = [Tensor(rng.uniform(-1, 1, (batch, n_in)), requires_grad=True) for _ in range(50)]
         h0 = Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (batch, 50, hidden)))
+        proj = rng.uniform(-1, 1, (batch, 50, hidden))
         self.assert_matches_both_oracles(layer, xs, h0, proj)
 
     @pytest.mark.parametrize("shared_x", [False, True])
@@ -665,7 +663,7 @@ class TestGRUFinalState:
             return [forward().data]
         with Tape() as tape:
             out = forward()
-            backward(tape, sum_all(mul(out, proj)))
+            backward(tape, project(out, proj))
         return [out.data] + [t.grad for t in layer.parameters() + inputs]
 
     def assert_bytes_equal(self, taped, layer, xs, h0, proj):
@@ -680,7 +678,7 @@ class TestGRUFinalState:
     @gru_grid
     def test_bytes_equal_the_last_state_of_the_sequence(self, batch, n_in, hidden, h_requires_grad, shared_x, n_steps, taped):
         layer, xs, h0, proj = TestGRUStepOracle.grid_case(batch, n_in, hidden, h_requires_grad, shared_x, n_steps)
-        self.assert_bytes_equal(taped, layer, xs, h0, Tensor(proj.data[:, -1]))
+        self.assert_bytes_equal(taped, layer, xs, h0, proj[:, -1])
 
     @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
     def test_bytes_equal_over_50_encoder_steps(self, taped):
@@ -689,7 +687,7 @@ class TestGRUFinalState:
         layer = GRULayer(4, 50, rng)
         xs = [Tensor(rng.uniform(-1, 1, (100, 4)), requires_grad=True) for _ in range(50)]
         h0 = Tensor(rng.uniform(-1, 1, (100, 50)), requires_grad=True)
-        self.assert_bytes_equal(taped, layer, xs, h0, Tensor(rng.uniform(-1, 1, (100, 50))))
+        self.assert_bytes_equal(taped, layer, xs, h0, rng.uniform(-1, 1, (100, 50)))
 
 
 class TestConv1D:
@@ -792,7 +790,7 @@ class TestMaxPool:
             seq = Tensor(x, requires_grad=True)
             with Tape() as tape:
                 out = maxpool1d_forward(MaxPool1D(pool, stride), seq)
-                backward(tape, sum_all(mul(out, Tensor(g))))
+                backward(tape, project(out, g))
             # same bits: NaNs and the sign of zero included
             assert out.shape == want_out.shape and out.data.tobytes() == want_out.tobytes()
             assert np.array_equal(out.data, want_out, equal_nan=True)
@@ -853,7 +851,7 @@ class TestContextKernelsAtBenchShapes:
         g = rng.uniform(-1, 1, (batch, length - 2, filters))
         with Tape() as tape:
             out = conv1d_forward(layer, seq)
-            backward(tape, sum_all(mul(out, Tensor(g))))
+            backward(tape, project(out, g))
         got = [out.data, seq.grad, layer.w.grad, layer.b.grad]
         want = oracle_conv1d_unblocked(seq.data, layer.w.data, layer.b.data, g)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -874,9 +872,9 @@ class TestContextKernelsAtBenchShapes:
             out = maxpool1d_forward(MaxPool1D(pool, stride), seq)
             if swapped:
                 # as in raesc: the pool's gradient arrives transposed in memory
-                loss = sum_all(mul(swap_last_axes(out), Tensor(g.swapaxes(1, 2).copy())))
+                loss = project(swap_last_axes(out), g.swapaxes(1, 2).copy())
             else:
-                loss = sum_all(mul(out, Tensor(g)))
+                loss = project(out, g)
             backward(tape, loss)
         want_out, want_grad = oracle_maxpool_where(x, g, pool, stride)
         assert out.data.tobytes() == want_out.tobytes()
@@ -918,10 +916,10 @@ class TestTimeDistributedDense:
         rng = np.random.default_rng(6)
         layer = DenseLayer(3, 2, rng)
         seq = Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (2, 4, 2)))
+        proj = rng.uniform(-1, 1, (2, 4, 2))
 
         def build():
-            return sum_all(mul(time_distributed_dense(layer, seq), proj))
+            return project(time_distributed_dense(layer, seq), proj)
 
         assert check_gradients(build, layer.parameters() + [seq]) < 1e-4
 
@@ -930,7 +928,7 @@ class TestTimeDistributedDense:
         layer = DenseLayer(6, 3, rng)
         layer.b.data[:] = rng.uniform(-1, 1, 3)
         seq = Tensor(rng.uniform(-1, 1, (5, 8, 6)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (5, 8, 3)))
+        proj = rng.uniform(-1, 1, (5, 8, 3))
         grads = []
         for one_record in (True, False):
             zero_grads(layer.parameters() + [seq])
@@ -940,7 +938,7 @@ class TestTimeDistributedDense:
                 else:
                     steps = [linear(s, layer.W, layer.b) for s in unstack_steps(seq)]
                     out = oracle_stack_steps(steps)
-                backward(tape, sum_all(mul(out, proj)))
+                backward(tape, project(out, proj))
             grads.append([out.data] + [t.grad for t in layer.parameters() + [seq]])
         for got, want in zip(*grads):
             assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
@@ -1018,10 +1016,10 @@ class TestLayerGradients:
         rng = np.random.default_rng(30)
         layer = GRULayer(2, 1, rng)
         xs = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
-        proj = Tensor(rng.uniform(-1, 1, (1, 3, 1)))
+        proj = rng.uniform(-1, 1, (1, 3, 1))
 
         def build():
-            return sum_all(mul(gru_forward(layer, xs, Tensor(np.zeros((1, 1)))), proj))
+            return project(gru_forward(layer, xs, Tensor(np.zeros((1, 1)))), proj)
 
         assert check_gradients(build, layer.parameters()) < 1e-4
 
@@ -1033,10 +1031,10 @@ class TestLayerGradients:
         layer.b.data[:] = rng.uniform(-0.5, 0.5, 3 * hidden)
         xs = [Tensor(rng.uniform(-1, 1, (2, n_in)), requires_grad=True) for _ in range(3)]
         h0 = Tensor(rng.uniform(-1, 1, (2, hidden)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (2, 3, hidden)))
+        proj = rng.uniform(-1, 1, (2, 3, hidden))
 
         def build():
-            return sum_all(mul(gru_forward(layer, xs, h0), proj))
+            return project(gru_forward(layer, xs, h0), proj)
 
         assert check_gradients(build, layer.parameters() + xs + [h0]) < 1e-4
 
@@ -1045,10 +1043,10 @@ class TestLayerGradients:
         layer = Conv1DLayer(2, 3, 4, rng)
         layer.b.data[:] = rng.uniform(-0.5, 0.5, 3)
         seq = Tensor(rng.uniform(-1, 1, (1, 4, 2)), requires_grad=True)
-        proj = Tensor(rng.uniform(-1, 1, (1, 1, 3)))
+        proj = rng.uniform(-1, 1, (1, 1, 3))
 
         def build():
-            return sum_all(mul(conv1d_forward(layer, seq), proj))
+            return project(conv1d_forward(layer, seq), proj)
 
         assert check_gradients(build, layer.parameters() + [seq]) < 1e-4
 
@@ -1059,10 +1057,10 @@ class TestLayerGradients:
         vals = np.linspace(-1.0, 1.0, 2 * 7)
         seq = Tensor(rng.permutation(vals).reshape(2, 7, 1), requires_grad=True)
         # conv [2,6,2] -> pool [2,3,2] -> transpose [2,2,3]
-        proj = Tensor(rng.uniform(-1, 1, (2, 2, 3)))
+        proj = rng.uniform(-1, 1, (2, 2, 3))
 
         def build():
             hidden = maxpool1d_forward(pool, conv1d_forward(layer, seq))
-            return sum_all(mul(swap_last_axes(hidden), proj))
+            return project(swap_last_axes(hidden), proj)
 
         assert check_gradients(build, layer.parameters() + [seq]) < 1e-4

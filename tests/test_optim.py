@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from twins import mean_all, mul, sub, sum_all
+
 from raeslab.optim import AdamState, TrainingError, mse_loss
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, mul, sum_all
+from raeslab.tensor import ShapeError, Tape, Tensor, backward
 
 
 class TestMSELoss:
@@ -27,6 +29,100 @@ class TestMSELoss:
             backward(tape, mse_loss(p, Tensor([0.0, 0.0])))
         # d/dp mean((p-t)^2) = 2 (p-t) / n
         assert np.allclose(p.grad, [1.0, 3.0])
+
+
+def oracle_mse_loss(pred, target):
+    """The loss as the three records it once was: ``sub``, ``mul`` and ``mean_all``."""
+    diff = sub(pred, target)
+    return mean_all(mul(diff, diff))
+
+
+class TestFusedLossMatchesOracle:
+    """``mse_loss``'s one record gives the three-record oracle's value and
+    gradients, byte for byte."""
+
+    @staticmethod
+    def run(loss_fn, shape, target_grad, upstream):
+        """The loss, pred's gradient and target's gradient (None without
+        ``target_grad``), as bytes; ``upstream`` scales the loss first, so the
+        record's backward sees an upstream gradient other than one."""
+        rng = np.random.default_rng(list(shape))
+        pred = Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
+        target = Tensor(rng.uniform(-2, 2, shape), requires_grad=target_grad)
+        with Tape() as tape:
+            loss = loss_fn(pred, target)
+            backward(tape, loss if upstream is None else mul(loss, Tensor(upstream)))
+        return [None if t is None else t.tobytes() for t in (loss.data, pred.grad, target.grad)]
+
+    @pytest.mark.parametrize("upstream", [None, 0.37], ids=["loss", "scaled-loss"])
+    @pytest.mark.parametrize("target_grad", [False, True], ids=["constant-target", "target-grad"])
+    @pytest.mark.parametrize("shape", [(100, 50, 4), (100, 200, 1), (7, 13, 3)], ids=["100x50x4", "100x200x1", "7x13x3"])
+    def test_value_and_gradients_byte_for_byte(self, shape, target_grad, upstream):
+        got = self.run(mse_loss, shape, target_grad, upstream)
+        assert got == self.run(oracle_mse_loss, shape, target_grad, upstream)
+        assert (got[2] is None) == (not target_grad)
+
+    def test_one_record(self):
+        pred = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            mse_loss(pred, Tensor(np.zeros((2, 3))))
+        assert tape.op_names() == ["mse"]
+
+
+class TestMSELossContract:
+    """The binary-op contract ``mse_loss`` keeps as the one two-operand record:
+    shape errors, a gradient to the target alone, accumulation, no-grad inputs."""
+
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeError, match=r"^mse_loss shape mismatch: \(2, 3\) vs \(3, 2\)$"):
+            mse_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        # a 0-d tensor is not broadcast
+        with pytest.raises(ShapeError, match=r"\(\) vs \(2, 3\)"):
+            mse_loss(Tensor(1.0), Tensor(np.zeros((2, 3))))
+
+    def test_target_alone_requires_grad(self):
+        rng = np.random.default_rng(24)
+        p, t = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (5, 3))
+        grads = []
+        for loss_fn in (mse_loss, oracle_mse_loss):
+            pred, target = Tensor(p), Tensor(t, requires_grad=True)
+            with Tape() as tape:
+                backward(tape, loss_fn(pred, target))
+            assert pred.grad is None
+            grads.append(target.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_adds_into_existing_gradients(self):
+        rng = np.random.default_rng(23)
+        p, t, gp, gt = (rng.uniform(-2, 2, (4, 3)) for _ in range(4))
+        grads = []
+        for loss_fn in (mse_loss, oracle_mse_loss):
+            pred, target = Tensor(p, requires_grad=True), Tensor(t, requires_grad=True)
+            pred.grad, target.grad = gp.copy(), gt.copy()
+            with Tape() as tape:
+                backward(tape, loss_fn(pred, target))
+            grads.append((pred.grad.tobytes(), target.grad.tobytes()))
+        assert grads[0] == grads[1]
+        assert grads[0][0] != gp.tobytes()
+
+    def test_no_grad_operands_record_nothing(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = Tensor(np.full((2, 3), 0.5))
+        with Tape() as tape:
+            out = mse_loss(a, b)
+        assert len(tape) == 0
+        assert not out.requires_grad
+        assert out.data == ((a.data - b.data) ** 2).mean()
+
+    def test_leaves_its_inputs_unchanged(self):
+        rng = np.random.default_rng(25)
+        pred = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
+        target = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
+        before = (pred.data.copy(), target.data.copy())
+        with Tape() as tape:
+            backward(tape, mse_loss(pred, target))
+        assert np.array_equal(pred.data, before[0])
+        assert np.array_equal(target.data, before[1])
 
 
 def fresh_param(values):
