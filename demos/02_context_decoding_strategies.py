@@ -55,9 +55,11 @@ for kind in ("rae", "raes", "raesc", "raes-stretch"):
         print(f"{kind:13s} skipped: {reason}")
         continue
     model = AutoencoderModel.build(variant, spec, rng)
+    # rae's input is the [1, context_size] context, which the decoder reads at
+    # every step; the others' is a [1, seq_len, features] sequence
     steps = decoder_input_steps(model, encode_context(model, x))
     out = model.forward(x)
     print(
-        f"{kind:13s} decoder consumes {len(steps)} steps of {steps[0].shape[-1]} "
-        f"features -> output {out.shape}"
+        f"{kind:13s} decoder reads {steps.shape} "
+        f"({spec.seq_len} steps of {steps.shape[-1]} features) -> output {out.shape}"
     )

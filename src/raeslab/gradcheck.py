@@ -18,6 +18,7 @@ from .layers import (
     DenseLayer,
     GRULayer,
     MaxPool1D,
+    Steps,
     conv1d_forward,
     gru_forward,
     maxpool1d_forward,
@@ -109,23 +110,33 @@ def _check_dense(rng) -> float:
 
 def _check_gru_one_step(rng) -> float:
     layer = GRULayer(int(rng.integers(1, 5)), int(rng.integers(1, 7)), rng)
-    x = _rand(rng, 2, layer.input_size)
+    x = _rand(rng, 2, 1, layer.input_size)
     h0 = _rand(rng, 2, layer.hidden_size)
-    return _check_projected(rng, lambda: gru_forward(layer, [x], h0), layer.parameters() + [x, h0])
+    return _check_projected(rng, lambda: gru_forward(layer, Steps(x), h0), layer.parameters() + [x, h0])
 
 
 def _check_gru_forward(rng) -> float:
     layer = GRULayer(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
-    steps = [_rand(rng, 1, layer.input_size) for _ in range(int(rng.integers(1, 8)))]
+    seq = _rand(rng, 1, int(rng.integers(1, 8)), layer.input_size)
     h0 = _rand(rng, 1, layer.hidden_size)
-    return _check_projected(rng, lambda: gru_forward(layer, steps, h0), layer.parameters() + steps + [h0])
+    return _check_projected(rng, lambda: gru_forward(layer, Steps(seq), h0), layer.parameters() + [seq, h0])
 
 
 def _check_gru_final(rng) -> float:
     layer = GRULayer(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
-    steps = [_rand(rng, 2, layer.input_size) for _ in range(int(rng.integers(1, 8)))]
+    # drawn step by step, [T, B, input], then laid out [B, T, input]
+    steps = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 8)), 2, layer.input_size))
+    seq = Tensor(steps.swapaxes(0, 1), requires_grad=True)
     h0 = _rand(rng, 2, layer.hidden_size)
-    return _check_projected(rng, lambda: gru_forward(layer, steps, h0, True), layer.parameters() + steps + [h0])
+    return _check_projected(rng, lambda: gru_forward(layer, Steps(seq), h0, True), layer.parameters() + [seq, h0])
+
+
+def _check_gru_repeated(rng) -> float:
+    layer = GRULayer(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
+    x = _rand(rng, 2, layer.input_size)
+    h0 = _rand(rng, 2, layer.hidden_size)
+    n_steps = int(rng.integers(1, 8))
+    return _check_projected(rng, lambda: gru_forward(layer, Steps(x, n_steps), h0), layer.parameters() + [x, h0])
 
 
 def _check_conv1d(rng) -> float:
@@ -181,6 +192,7 @@ def default_suite(instances: int = 10, seed: int = 2024) -> list[CheckResult]:
         ("gru-step", _check_gru_one_step),
         ("gru-sequence", _check_gru_forward),
         ("gru-final", _check_gru_final),
+        ("gru-repeated", _check_gru_repeated),
         ("conv1d", _check_conv1d),
         ("maxpool1d", _check_maxpool),
         ("transpose", _check_transpose),

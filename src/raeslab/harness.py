@@ -118,7 +118,7 @@ def evaluate(model: AutoencoderModel, dataset: Dataset, which: str, batch_size: 
     total_n = 0
     for xb in batches(dataset, which, batch_size):
         diff = model.forward(xb).data - xb.data
-        # a diverged model overflows here; train_epoch reports that as an error
+        # a diverged model overflows here; train_epoch raises on the result
         with np.errstate(over="ignore", invalid="ignore"):
             total_sq += float((diff * diff).sum())
         total_n += diff.size
@@ -138,7 +138,8 @@ def train_epoch(
 
     The target of every batch is the batch itself (reconstruction). Wall time
     is measured around the training pass only. An empty train split raises
-    ValueError rather than averaging no losses into NaN.
+    ValueError rather than averaging no losses into NaN, and a non-finite
+    training loss or validation MSE raises TrainingError.
     """
     params = model.parameters()
     train_batches = batches(dataset, "train", batch_size)
@@ -163,6 +164,8 @@ def train_epoch(
         batch_losses.append(value)
     wall = time.perf_counter() - start
     val = evaluate(model, dataset, "val", batch_size)
+    if not np.isfinite(val):
+        raise TrainingError(f"non-finite validation MSE at epoch {epoch}")
     return EpochRecord(
         epoch=epoch,
         train_mse=float(np.mean(batch_losses)),

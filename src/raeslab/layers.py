@@ -1,10 +1,10 @@
 """Differentiable layers: GRU, dense output head, 1D convolution and pooling.
 
-Every layer takes batches: sequences are [batch, length, channels], GRU
-steps [batch, input] and states [batch, hidden]; one sequence is a batch of
-one. The GRU unrolls a whole list of steps as one tape record and returns
-the states as one [B, T, hidden] tensor, or only the final [B, hidden] state
-for the encoder's context; the dense head is one ``linear``
+Every layer takes batches: sequences are [batch, length, channels] and GRU
+states [batch, hidden]; one sequence is a batch of one. The GRU unrolls a
+whole [B, T, input] sequence, or one [B, input] step read at every step, as
+one tape record and returns the states as one [B, T, hidden] tensor, or only
+the final [B, hidden] state for the encoder's context; the dense head is one ``linear``
 over that tensor. Weights are float64 tensors initialized Glorot-uniform;
 biases start at zero.
 """
@@ -21,6 +21,7 @@ __all__ = [
     "DenseLayer",
     "Conv1DLayer",
     "MaxPool1D",
+    "Steps",
     "gru_forward",
     "conv1d_forward",
     "maxpool1d_forward",
@@ -126,8 +127,24 @@ class MaxPool1D:
         self.stride = stride
 
 
-def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
-    """Unroll the cell over a list of [B, input] steps as one tape record.
+class Steps:
+    """A GRU's input: a [B, T, input] sequence's T steps, or one [B, input]
+    step read at each of ``count`` steps (rae's repeated context) through a
+    view that repeats it along T; ``data`` is that [B, T, input] array."""
+
+    def __init__(self, x: Tensor, count: int | None = None):
+        self.x, self.data = x, x.data
+        if x.ndim == 2 and count is not None:
+            self.data = np.broadcast_to(x.data[:, None], (x.shape[0], count, x.shape[1]))
+        elif x.ndim != 3 or count not in (None, x.shape[1]):
+            raise ShapeError(f"steps of {x.shape}, count={count}: not [batch, T, input] or [batch, input] and a count")
+
+    def __len__(self) -> int:
+        return self.data.shape[1]
+
+
+def gru_forward(layer: GRULayer, steps: Steps, h0: Tensor, final: bool = False) -> Tensor:
+    """Unroll the cell over its input steps as one tape record.
 
     h0 is [B, hidden]. The states come back as one [B, T, hidden] tensor or,
     with ``final`` true, only the last one as [B, hidden] (the encoder's
@@ -143,17 +160,16 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
     step. The stacked GEMMs sum in another order than per-gate ones: states
     and gradients match those to 1e-12.
     """
-    xs = list(xs)
-    if not xs:
-        raise ValueError("gru_forward needs at least one input step")
     if h0.ndim != 2 or h0.shape[1] != layer.hidden_size:
         raise ShapeError(f"gru_forward state {h0.shape} is not [batch, hidden_size={layer.hidden_size}]")
-    step_shape = (h0.shape[0], layer.input_size)
-    if any(x.shape != step_shape for x in xs):
-        raise ShapeError(f"gru_forward steps must all be [batch, input_size] {step_shape} for state {h0.shape}")
+    H, B, n = layer.hidden_size, h0.shape[0], layer.input_size
+    x, xs, T = steps.x, steps.data, len(steps)
+    if xs.shape[::2] != (B, n):
+        raise ShapeError(f"gru_forward steps {xs.shape} are not [batch={B}, T, input_size={n}]")
+    if T < 1:
+        raise ValueError("gru_forward needs at least one input step")
     params = layer.parameters()
     W, U, b = (p.data for p in params)
-    H, B, n = layer.hidden_size, h0.shape[0], layer.input_size
     # the biases join the GEMMs, since a bias added after one rounds
     # differently; the tape does not keep these copies, the backward reads
     # W and U themselves
@@ -172,13 +188,13 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
     ]
     saved = [] if active_tape() is not None else None
     # the backward reads every state, so only an untaped final mode skips them
-    states = None if final and saved is None else np.empty((B, len(xs), H))
+    states = None if final and saved is None else np.empty((B, T, H))
     block = None if saved is not None else np.empty((3 * H, B))
     # untaped, every step's gate rows are those of the one block
     gates = None if block is None else (block[: 2 * H], block[:H], block[H : 2 * H], block[2 * H :])
-    for t, x in enumerate(xs):
+    for t in range(T):
         hxb, crh, hT, xT, rh, hn = views[t % 2]
-        np.copyto(xT, x.data.T)
+        np.copyto(xT, xs[:, t].T)
         P = np.empty((3 * H, B)) if block is None else block
         zr, z, r, cand = gates or (P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :])
         _logistic_neg(np.matmul(nUbW, hxb, out=zr))
@@ -192,7 +208,7 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
         if saved is not None:
             saved.append(P)
 
-    def back(g, xs=xs, h0=h0, states=states, saved=saved):
+    def back(g, x=x, xs=xs, h0=h0, states=states, saved=saved):
         # Per step the elementwise expressions and their order are those of
         # the per-gate composition replayed in reverse, in place: the spent
         # block becomes the gate gradient G = [g_z; g_r; g_c], rows as in W.
@@ -201,20 +217,24 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
         # U_zr^T G[:2H]. Against the operands [h; 1] and [r*h; 1], the
         # gradient GEMMs of G's z/r and candidate rows fill those rows of
         # dUb = [dU db], bias gradients as its last column. Parameter
-        # gradients are running sums, added in at the end.
+        # gradients are running sums, added in at the end. A sequence's
+        # input gradient is formed a step at a time, as the steps' blocks are
+        # freed, and added into the sequence's at the end; a repeated step's
+        # sums its steps'.
         U_zr, U_h = U[: 2 * H], U[2 * H :]
         dW, dUb = np.zeros(W.shape), np.zeros((3 * H, H + 1))
-        # one buffer takes each step's input-gradient GEMM and then its three
-        # weight-gradient GEMMs in turn
-        shapes = ((B, W.shape[1]), W.shape, (2 * H, H + 1), (H, H + 1))
-        gemm = np.empty(max(m * n for m, n in shapes))
-        gx, wx, uzr, uh = (gemm[: m * n].reshape(m, n) for m, n in shapes)
+        # one buffer takes a repeated step's input-gradient GEMM and then each
+        # step's three weight-gradient GEMMs in turn
+        shapes = ((B, n), W.shape, (2 * H, H + 1), (H, H + 1))
+        gemm = np.empty(max(m * k for m, k in shapes))
+        gx, wx, uzr, uh = (gemm[: m * k].reshape(m, k) for m, k in shapes)
+        gxs = [None] * T if x.requires_grad and x.ndim == 3 else None
         dh = (g if final else g[:, -1]).T.copy()
         hb, rhb = np.ones((2, H + 1, B))
         hT = hb[:H]
         q, s = np.empty((H, B)), np.empty((H, B))
-        for t in range(len(xs) - 1, -1, -1):
-            x, G = xs[t], saved[t]
+        for t in range(T - 1, -1, -1):
+            G = saved[t]
             saved[t] = None
             z, r, cand = G[:H], G[H : 2 * H], G[2 * H :]
             np.copyto(hT, states[:, t - 1].T if t else h0.data.T)
@@ -244,16 +264,25 @@ def gru_forward(layer: GRULayer, xs, h0: Tensor, final: bool = False) -> Tensor:
                     q += s
                 q += np.matmul(U_zr.T, G[: 2 * H], out=s)
                 dh, q = q, dh
-            if x.requires_grad:
+            if gxs is not None:
+                gxs[t] = G.T @ W
+            elif x.requires_grad:
                 accumulate_grad(x, np.matmul(G.T, W, out=gx))
-            dW += np.matmul(G, x.data, out=wx)
+            dW += np.matmul(G, xs[:, t], out=wx)
             dUb[: 2 * H] += np.matmul(G[: 2 * H], hb.T, out=uzr)
             dUb[2 * H :] += np.matmul(cand, rhb.T, out=uh)
+        if gxs is not None:
+            # added into zeros last step first, each step's freed once added
+            if x.grad is None:
+                x.grad = np.zeros(x.shape)
+            for t in range(T - 1, -1, -1):
+                x.grad[:, t] += gxs[t]
+                gxs[t] = None
         for p, grad in zip((*params, h0), (dW, dUb[:, :H], dUb[:, H], dh.T)):
             if p.requires_grad:
                 accumulate_grad(p, grad)
 
-    return record_op("gru_forward", hn.T.copy() if final else states, (*xs, h0, *params), back)
+    return record_op("gru_forward", hn.T.copy() if final else states, (x, h0, *params), back)
 
 
 def conv1d_forward(layer: Conv1DLayer, seq: Tensor) -> Tensor:

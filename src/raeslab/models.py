@@ -28,19 +28,13 @@ from .layers import (
     DenseLayer,
     GRULayer,
     MaxPool1D,
+    Steps,
     conv1d_forward,
     gru_forward,
     maxpool1d_forward,
     time_distributed_dense,
 )
-from .tensor import (
-    ShapeError,
-    Tensor,
-    matmul,
-    reshape,
-    swap_last_axes,
-    unstack_steps,
-)
+from .tensor import ShapeError, Tensor, matmul, reshape, swap_last_axes
 
 __all__ = [
     "RAE",
@@ -265,7 +259,7 @@ class AutoencoderModel:
         return out
 
     def forward(self, x: Tensor) -> Tensor:
-        """Encode, turn the context into decoder input steps, decode."""
+        """Encode, turn the context into the decoder's input, decode."""
         return decode_steps(self, decoder_input_steps(self, encode_context(self, x)))
 
 
@@ -277,27 +271,29 @@ def encode_context(model: AutoencoderModel, x: Tensor) -> Tensor:
             f"n_features={model.context.n_features}]"
         )
     h0 = Tensor(np.zeros((x.shape[0], model.encoder.hidden_size)))
-    return gru_forward(model.encoder, unstack_steps(x), h0, True)
+    return gru_forward(model.encoder, Steps(x), h0, True)
 
 
-def decode_steps(model: AutoencoderModel, steps) -> Tensor:
-    """Run the decoder from a zero state and apply the head at every step."""
-    h0 = Tensor(np.zeros((steps[0].shape[0], model.decoder.hidden_size)))
-    return time_distributed_dense(model.head, gru_forward(model.decoder, steps, h0))
+def decode_steps(model: AutoencoderModel, steps: Tensor) -> Tensor:
+    """Run the decoder from a zero state over seq_len steps of its input and apply the head at every step."""
+    h0 = Tensor(np.zeros((steps.shape[0], model.decoder.hidden_size)))
+    return time_distributed_dense(model.head, gru_forward(model.decoder, Steps(steps, model.context.seq_len), h0))
 
 
-def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> list[Tensor]:
-    """Turn the flat context into the decoder's input sequence for this variant."""
+def decoder_input_steps(model: AutoencoderModel, context: Tensor) -> Tensor:
+    """Turn the flat context into the decoder's input for this variant.
+
+    rae's is the [B, context_size] context itself, one step the decoder reads
+    at every step; the others' is a [B, seq_len, features] sequence.
+    """
     kind = model.variant.kind
     spec = model.context
     if kind == RAE:
-        return [context] * spec.seq_len
+        return context
     if kind == RAES:
-        seq = transform_context(context, spec.seq_len)
-    elif kind == RAESC:
+        return transform_context(context, spec.seq_len)
+    if kind == RAESC:
         responses = conv1d_forward(model.conv, reshape(context, (context.shape[0], spec.context_size, 1)))
-        seq = swap_last_axes(maxpool1d_forward(model.pool, responses))
-    else:  # RAES_STRETCH, the last kind ModelVariant admits
-        seq = stretch_context(context, spec.seq_len)
-    return unstack_steps(seq)
-
+        return swap_last_axes(maxpool1d_forward(model.pool, responses))
+    # RAES_STRETCH, the last kind ModelVariant admits
+    return stretch_context(context, spec.seq_len)

@@ -2,11 +2,9 @@
 
 The operation set is deliberately small: exactly what the models run besides
 their fused layer kernels. Every op takes ``Tensor`` operands and converts
-nothing. ``unstack_steps`` splits a sequence [..., T, m] into steps in one
-``unstack`` record. Values live in row-major
-(C-contiguous) numpy float64 arrays; gradients are arrays of the same shape,
-allocated lazily during the backward pass and accumulated additively across
-fan-out.
+nothing. Values live in row-major (C-contiguous) numpy float64 arrays;
+gradients are arrays of the same shape, allocated lazily during the backward
+pass and accumulated additively across fan-out.
 
 The tape keeps gradients, not values. Every tensor owns a ``GradSlot`` (its
 shape and ``grad``); tape records and ``_record`` terms hold slots, and a
@@ -20,8 +18,7 @@ leaves keep their gradients.
 
 An op whose backward adds one independent term into each input records
 through the private ``_record``; one with any other backward (a fused
-recurrent kernel) passes its own closure to ``record_op``. A record with no
-output slot (``unstack``, whose T outputs keep their own) always replays.
+recurrent kernel) passes its own closure to ``record_op``.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "linear",
     "reshape",
     "swap_last_axes",
-    "unstack_steps",
 ]
 
 
@@ -115,8 +111,7 @@ class Tape:
     exactly once, in reverse insertion order, and leaves the tape spent: each
     record keeps only its op name, so ``len`` and ``op_names`` still
     describe it, and a second ``backward`` raises ``GraphError``. A record
-    holds its output's ``GradSlot``, not the output tensor, or None when its
-    closure reads its outputs' gradients itself and always replays.
+    holds its output's ``GradSlot``, not the output tensor.
     """
 
     def __init__(self):
@@ -194,9 +189,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     for i in range(len(records) - 1, -1, -1):
         name, slot, fn = records[i]
         records[i] = (name, None, None)
-        if slot is None:
-            fn(None)
-        elif slot.grad is not None:
+        if slot.grad is not None:
             g, slot.grad = slot.grad, None
             fn(g)
 
@@ -304,29 +297,3 @@ def swap_last_axes(a: Tensor) -> Tensor:
         raise ShapeError(f"swap_last_axes needs at least 2 axes, got shape {a.shape}")
     return _record("swap_last_axes", a.data.swapaxes(-1, -2), (a, lambda g: np.ascontiguousarray(g.swapaxes(-1, -2))))
 
-
-def unstack_steps(t: Tensor) -> list[Tensor]:
-    """Split along the second-to-last axis into per-step tensors, in one ``unstack`` record.
-
-    Its backward adds each step's gradient into that step of ``t``'s, zero-filled
-    first, and allocates nothing when no step took a gradient.
-    """
-    if t.ndim < 2:
-        raise ShapeError(f"unstack_steps needs at least 2 axes, got shape {t.shape}")
-    idx = [(slice(None),) * (t.ndim - 2) + (i,) for i in range(t.shape[-2])]
-    tape = active_tape() if t.requires_grad else None
-    steps = [Tensor(t.data[i], requires_grad=tape is not None) for i in idx]
-    if tape is not None:
-        slot, slots = t.slot, [s.slot for s in steps]
-
-        def back(_):
-            # last step first: the other order slowed tiny-f4-T50 epochs 3.5-8.5% by heap layout
-            for i, s in zip(reversed(idx), reversed(slots)):
-                if s.grad is not None:
-                    if slot.grad is None:
-                        slot.grad = np.zeros(slot.shape)
-                    slot.grad[i] += s.grad
-                    s.grad = None
-
-        tape._records.append(("unstack", None, back))
-    return steps

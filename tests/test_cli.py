@@ -107,13 +107,17 @@ class TestRun:
         assert proc.stderr == "raes-lab: error: the variant list is empty; name at least one variant to train\n"
         assert not (tmp_path / "x").exists()
 
-    def test_divergence_is_one_line_error(self, tmp_path):
+    # epoch 0's one batch takes a finite loss and an update to lr 1e300, and
+    # its validation overflows; a one-epoch run diverges in its last epoch
+    @pytest.mark.parametrize("epochs", ["1", "3"])
+    def test_divergence_is_one_line_error(self, tmp_path, epochs):
         proc = raes_lab(
-            "run", "--model", "rae", "--lr", "1e300", "--epochs", "3", "--seq-len", "8",
+            "run", "--model", "rae", "--lr", "1e300", "--epochs", epochs, "--seq-len", "8",
             "--n-sequences", "20", "--features", "1", "--out", str(tmp_path / "x"),
         )
         assert proc.returncode == 1
-        assert proc.stderr == "raes-lab: error: non-finite training loss at epoch 1, batch 0\n"
+        assert proc.stderr == "raes-lab: error: non-finite validation MSE at epoch 0\n"
+        assert not (tmp_path / "x").exists()
 
     def test_determinism_excluding_timing_columns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

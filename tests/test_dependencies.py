@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from raeslab import tensor
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "raeslab").glob("*.py"))
 
@@ -65,3 +67,24 @@ def test_numpy_is_the_only_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def tensor_references(path: Path) -> set[str]:
+    """The names a module takes from raeslab.tensor: ``from .tensor import``
+    aliases and ``tensor.<name>`` attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "tensor":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "tensor":
+            names.add(node.attr)
+    return names
+
+
+def test_tensor_core_exports_only_what_another_module_uses():
+    # exception classes are exempt: a caller may catch one it never imports
+    exempt = {n for n, v in vars(tensor).items() if isinstance(v, type) and issubclass(v, Exception)}
+    core = ROOT / "src" / "raeslab" / "tensor.py"
+    used = set().union(*(tensor_references(p) for p in SOURCES if p != core))
+    unused = [n for n in tensor.__all__ if n not in exempt | used]
+    assert unused == [], f"raeslab.tensor exports {unused}, which no other module under src/ uses"

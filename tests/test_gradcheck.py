@@ -11,7 +11,7 @@ CHECKS_OF_OP = {
     "matmul": {"core-ops"},
     "reshape": {"core-ops"},
     "time_distributed_dense": {"dense-head"},
-    "gru_forward": {"gru-step", "gru-sequence", "gru-final"},
+    "gru_forward": {"gru-step", "gru-sequence", "gru-final", "gru-repeated"},
     "conv1d_forward": {"conv1d"},
     "maxpool1d_forward": {"maxpool1d"},
     "swap_last_axes": {"transpose"},

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twins import mul, project, sigmoid, sum_all, tanh_op
+from twins import mul, project, sigmoid, sum_all, tanh_op, unstack_steps
 
 from raeslab.gradcheck import check_gradients
 from raeslab.layers import (
@@ -11,6 +11,7 @@ from raeslab.layers import (
     DenseLayer,
     GRULayer,
     MaxPool1D,
+    Steps,
     conv1d_forward,
     gru_forward,
     init_params,
@@ -28,7 +29,6 @@ from raeslab.tensor import (
     linear,
     record_op,
     swap_last_axes,
-    unstack_steps,
     zero_grads,
 )
 
@@ -319,6 +319,116 @@ def oracle_gru_split(layer, xs, h0):
     return record_op("gru_split", states, (*xs, h0, *params), back)
 
 
+def oracle_gru_list(layer, xs, h0, final=False):
+    """The list-taking kernel the one-tensor one replaced, kept as an oracle.
+
+    It unrolls the cell over a list of [B, input] step tensors, rae's
+    repeated context as one tensor listed at every step, with the fused
+    operand [h; 1; x; r*h] and the backward ``gru_forward`` keeps, and adds
+    each step's input gradient into that step's tensor.
+    """
+    xs = list(xs)
+    params = layer.parameters()
+    W, U, b = (p.data for p in params)
+    H, B, n = layer.hidden_size, h0.shape[0], layer.input_size
+    nUbW = np.concatenate((U[: 2 * H], b[: 2 * H, None], W[: 2 * H]), axis=1)
+    np.negative(nUbW, out=nUbW)
+    bWU = np.concatenate((b[2 * H :, None], W[2 * H :], U[2 * H :]), axis=1)
+    operands, scratch = np.ones((2, 2 * H + 1 + n, B)), np.empty((H, B))
+    operands[0, :H] = h0.data.T
+    views = [
+        (o[: H + 1 + n], o[H:], o[:H], o[H + 1 : H + 1 + n], o[H + 1 + n :], operands[1 - i, :H])
+        for i, o in enumerate(operands)
+    ]
+    saved = [] if active_tape() is not None else None
+    states = None if final and saved is None else np.empty((B, len(xs), H))
+    block = None if saved is not None else np.empty((3 * H, B))
+    gates = None if block is None else (block[: 2 * H], block[:H], block[H : 2 * H], block[2 * H :])
+    for t, x in enumerate(xs):
+        hxb, crh, hT, xT, rh, hn = views[t % 2]
+        np.copyto(xT, x.data.T)
+        P = np.empty((3 * H, B)) if block is None else block
+        zr, z, r, cand = gates or (P[: 2 * H], P[:H], P[H : 2 * H], P[2 * H :])
+        _logistic_neg(np.matmul(nUbW, hxb, out=zr))
+        np.multiply(r, hT, out=rh)
+        np.tanh(np.matmul(bWU, crh, out=cand), out=cand)
+        d = np.subtract(cand, hT, out=scratch)
+        d *= z
+        np.add(hT, d, out=hn)
+        if states is not None:
+            states[:, t] = hn.T
+        if saved is not None:
+            saved.append(P)
+
+    def back(g, xs=xs, h0=h0, states=states, saved=saved):
+        U_zr, U_h = U[: 2 * H], U[2 * H :]
+        dW, dUb = np.zeros(W.shape), np.zeros((3 * H, H + 1))
+        shapes = ((B, W.shape[1]), W.shape, (2 * H, H + 1), (H, H + 1))
+        gemm = np.empty(max(m * n for m, n in shapes))
+        gx, wx, uzr, uh = (gemm[: m * n].reshape(m, n) for m, n in shapes)
+        dh = (g if final else g[:, -1]).T.copy()
+        hb, rhb = np.ones((2, H + 1, B))
+        hT = hb[:H]
+        q, s = np.empty((H, B)), np.empty((H, B))
+        for t in range(len(xs) - 1, -1, -1):
+            x, G = xs[t], saved[t]
+            saved[t] = None
+            z, r, cand = G[:H], G[H : 2 * H], G[2 * H :]
+            np.copyto(hT, states[:, t - 1].T if t else h0.data.T)
+            np.multiply(np.subtract(cand, hT, out=q), dh, out=q)
+            np.subtract(1.0, np.multiply(cand, cand, out=s), out=s)
+            np.multiply(dh, z, out=cand)
+            cand *= s
+            dh *= np.subtract(1.0, z, out=s)
+            z *= q
+            z *= s
+            np.matmul(U_h.T, cand, out=s)
+            np.multiply(s, hT, out=q)
+            q *= r
+            np.multiply(r, hT, out=rhb[:H])
+            s *= r
+            np.subtract(1.0, r, out=r)
+            r *= q
+            if t or h0.requires_grad:
+                if final:
+                    np.add(dh, s, out=q)
+                else:
+                    np.add(g[:, t - 1].T if t else 0.0, dh, out=q)
+                    q += s
+                q += np.matmul(U_zr.T, G[: 2 * H], out=s)
+                dh, q = q, dh
+            if x.requires_grad:
+                accumulate_grad(x, np.matmul(G.T, W, out=gx))
+            dW += np.matmul(G, x.data, out=wx)
+            dUb[: 2 * H] += np.matmul(G[: 2 * H], hb.T, out=uzr)
+            dUb[2 * H :] += np.matmul(cand, rhb.T, out=uh)
+        for p, grad in zip((*params, h0), (dW, dUb[:, :H], dUb[:, H], dh.T)):
+            if p.requires_grad:
+                accumulate_grad(p, grad)
+
+    return record_op("gru_list", hn.T.copy() if final else states, (*xs, h0, *params), back)
+
+
+def as_input(xs):
+    """``gru_forward``'s input for a list of steps and the step count to pass:
+    the one step itself, read at every step, when the list repeats it, else
+    the steps stacked into a [B, T, input] sequence that takes a gradient
+    when they do."""
+    if all(x is xs[0] for x in xs):
+        return xs[0], len(xs)
+    return Tensor(np.stack([x.data for x in xs], axis=1), requires_grad=xs[0].requires_grad), None
+
+
+def kernel_grads(layer, x, h0):
+    """The gradients of W, U, b, the input step by step (a repeated step's
+    once) and h0, None where a tensor took none."""
+    if x.ndim == 3:
+        steps = [None if x.grad is None else x.grad[:, t] for t in range(x.shape[1])]
+    else:
+        steps = [x.grad]
+    return [p.grad for p in layer.parameters()] + steps + [h0.grad]
+
+
 def oracle_stack_steps(steps):
     """Per-step states [B, H] stacked to [B, T, H] as one tape record."""
     axis = steps[0].ndim - 1
@@ -367,13 +477,13 @@ class TestGRUStep:
 
     def test_zero_params_zero_state(self):
         layer = zeroed_gru(3, 4)
-        out = gru_forward(layer, [Tensor([[1.0, -2.0, 0.5]])], Tensor(np.zeros((1, 4))))
+        out = gru_forward(layer, Steps(Tensor([[[1.0, -2.0, 0.5]]])), Tensor(np.zeros((1, 4))))
         assert np.array_equal(out.data[0], np.zeros((1, 4)))
 
     def test_zero_params_halves_state(self):
         layer = zeroed_gru(2, 3)
         v = np.array([0.4, -1.2, 2.0])
-        out = gru_forward(layer, [Tensor([[1.0, 1.0]])], Tensor(v[None]))
+        out = gru_forward(layer, Steps(Tensor([[[1.0, 1.0]]])), Tensor(v[None]))
         assert np.allclose(out.data[0][0], 0.5 * v, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -381,18 +491,31 @@ class TestGRUStep:
         rng = np.random.default_rng(seed)
         layer = GRULayer(3, 5, rng)
         h = Tensor(rng.uniform(-2.0, 2.0, (1, 5)))
-        out = gru_forward(layer, [Tensor(rng.uniform(-1.0, 1.0, (1, 3)))], h)
+        out = gru_forward(layer, Steps(Tensor(rng.uniform(-1.0, 1.0, (1, 1, 3)))), h)
         bound = np.maximum(np.abs(h.data), 1.0)
         assert np.all(np.abs(out.data[0]) <= bound)
 
     def test_shape_mismatch(self):
         layer = zeroed_gru(3, 4)
         with pytest.raises(ShapeError):
-            gru_forward(layer, [Tensor([[1.0, 2.0]])], Tensor(np.zeros((1, 4))))
+            gru_forward(layer, Steps(Tensor([[[1.0, 2.0]]])), Tensor(np.zeros((1, 4))))
         with pytest.raises(ShapeError):
-            gru_forward(layer, [Tensor([[1.0, 2.0, 3.0]])], Tensor(np.zeros((1, 5))))
+            gru_forward(layer, Steps(Tensor([[[1.0, 2.0, 3.0]]])), Tensor(np.zeros((1, 5))))
         with pytest.raises(ShapeError):
-            gru_forward(layer, [Tensor(np.zeros((2, 3)))], Tensor(np.zeros((3, 4))))
+            gru_forward(layer, Steps(Tensor(np.zeros((2, 1, 3)))), Tensor(np.zeros((3, 4))))
+        with pytest.raises(ShapeError):
+            gru_forward(layer, Steps(Tensor(np.zeros((3, 2))), 5), Tensor(np.zeros((3, 4))))
+
+    def test_input_form_and_step_count_must_agree(self):
+        # a [B, input] step needs a step count; a sequence's count is its T
+        layer = zeroed_gru(3, 4)
+        h0 = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match=r"count=None"):
+            gru_forward(layer, Steps(Tensor(np.zeros((2, 3)))), h0)
+        with pytest.raises(ShapeError, match=r"\(2, 5, 3\), count=4"):
+            gru_forward(layer, Steps(Tensor(np.zeros((2, 5, 3))), 4), h0)
+        assert gru_forward(layer, Steps(Tensor(np.zeros((2, 5, 3))), 5), h0).shape == (2, 5, 4)
+        assert gru_forward(layer, Steps(Tensor(np.zeros((2, 3))), 5), h0).shape == (2, 5, 4)
 
 
 class TestGRULayerInit:
@@ -424,40 +547,43 @@ class TestGRUForward:
         layer = GRULayer(2, 3, rng)
         x = Tensor(rng.uniform(-1, 1, (1, 2)))
         h0 = Tensor(rng.uniform(-1, 1, (1, 3)))
-        states = gru_forward(layer, [x], h0)
+        states = gru_forward(layer, Steps(x, 1), h0)
         assert states.data[0].shape == (1, 3)
         np.testing.assert_allclose(states.data[0][0], oracle_gru_step(PerGate(layer), x, h0).data[0], **STACKED_TOLERANCE)
 
     def test_zero_params_zero_outputs(self):
         layer = zeroed_gru(1, 4)
-        xs = [Tensor([[float(i)]]) for i in range(5)]
-        states = gru_forward(layer, xs, Tensor(np.zeros((1, 4))))
+        states = gru_forward(layer, Steps(Tensor(np.arange(5.0).reshape(1, 5, 1))), Tensor(np.zeros((1, 4))))
         assert np.array_equal(states.data[0], np.zeros((5, 4)))
 
     def test_output_length_matches_input(self):
         rng = np.random.default_rng(2)
         layer = GRULayer(2, 3, rng)
         for n in (1, 4, 9):
-            xs = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(n)]
-            assert gru_forward(layer, xs, Tensor(np.zeros((1, 3)))).data[0].shape == (n, 3)
-            batched = [Tensor(rng.uniform(-1, 1, (5, 2))) for _ in range(n)]
-            assert gru_forward(layer, batched, Tensor(np.zeros((5, 3)))).shape == (5, n, 3)
+            seq = Tensor(rng.uniform(-1, 1, (1, n, 2)))
+            assert gru_forward(layer, Steps(seq), Tensor(np.zeros((1, 3)))).data[0].shape == (n, 3)
+            batched = Tensor(rng.uniform(-1, 1, (5, n, 2)))
+            assert gru_forward(layer, Steps(batched), Tensor(np.zeros((5, 3)))).shape == (5, n, 3)
+            repeated = Tensor(rng.uniform(-1, 1, (5, 2)))
+            assert gru_forward(layer, Steps(repeated, n), Tensor(np.zeros((5, 3)))).shape == (5, n, 3)
 
     def test_matches_manual_step_composition_bit_exactly(self):
         rng = np.random.default_rng(3)
         layer = GRULayer(3, 4, rng)
-        xs = [Tensor(rng.uniform(-1, 1, (1, 3))) for _ in range(6)]
+        seq = Tensor(rng.uniform(-1, 1, (1, 6, 3)))
         h0 = Tensor(rng.uniform(-1, 1, (1, 4)))
-        states = gru_forward(layer, xs, h0)
+        states = gru_forward(layer, Steps(seq), h0)
         h = h0
-        for x, state in zip(xs, states.data[0]):
-            h = Tensor(gru_forward(layer, [x], h).data[:, 0])
+        for t, state in enumerate(states.data[0]):
+            h = Tensor(gru_forward(layer, Steps(Tensor(seq.data[:, t]), 1), h).data[:, 0])
             assert np.array_equal(state, h.data[0])
 
     def test_empty_sequence_rejected(self):
         layer = zeroed_gru(1, 1)
-        with pytest.raises(ValueError):
-            gru_forward(layer, [], Tensor(np.zeros((1, 1))))
+        with pytest.raises(ValueError, match="at least one input step"):
+            gru_forward(layer, Steps(Tensor(np.zeros((1, 0, 1)))), Tensor(np.zeros((1, 1))))
+        with pytest.raises(ValueError, match="at least one input step"):
+            gru_forward(layer, Steps(Tensor(np.zeros((1, 1))), 0), Tensor(np.zeros((1, 1))))
 
 
 class TestSaturatedGates:
@@ -487,24 +613,24 @@ class TestSaturatedGates:
         # are z, r and the candidate
         signs = np.concatenate((2 * z - 1, rng.choice([-1.0, 1.0], hidden), cand))
         layer.W.data[:] = signs[:, None] * (1000.0 / n_in)
-        xs = [Tensor(np.ones((batch, n_in)), requires_grad=True) for _ in range(n_steps)]
+        x = Tensor(np.ones((batch, n_steps, n_in)), requires_grad=True)
         # dyadic states, so h + z*(cand - h) is exact
         h0 = Tensor(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (batch, hidden)), requires_grad=True)
         want = np.where(z == 1.0, cand, h0.data)
         with np.errstate(all=errors):
             if taped:
-                zero_grads([*layer.parameters(), *xs, h0])
+                zero_grads([*layer.parameters(), x, h0])
                 with Tape() as tape:
-                    states = gru_forward(layer, xs, h0, final)
+                    states = gru_forward(layer, Steps(x), h0, final)
                     backward(tape, sum_all(states))
             else:
-                states = gru_forward(layer, xs, h0, final)
+                states = gru_forward(layer, Steps(x), h0, final)
         if final:
             assert np.array_equal(states.data, want)
         else:
             assert all(np.array_equal(states.data[:, t], want) for t in range(n_steps))
         if taped:
-            grads = [t.grad for t in (*layer.parameters(), *xs, h0)]
+            grads = [t.grad for t in (*layer.parameters(), x, h0)]
             assert all(np.all(np.isfinite(g)) for g in grads)
             # d(sum of states)/dh0 counts the states it reaches where z is 0, and nothing else
             reached = 1 if final else n_steps
@@ -547,9 +673,17 @@ class TestGRUStepOracle:
     def unroll(forward, layer, xs, h0, proj):
         """States, and the gradients of W, U, b and the distinct inputs; an
         per-gate oracle runs on the per-gate views and its nine gradients are
-        stacked."""
+        stacked. ``gru_forward`` takes the steps as one input (``as_input``),
+        whose gradient is split back into the steps'."""
+        if forward is gru_forward:
+            x, steps = as_input(xs)
+            zero_grads(layer.parameters() + [x, h0])
+            with Tape() as tape:
+                states = gru_forward(layer, Steps(x, steps), h0)
+                backward(tape, project(states, proj))
+            return states.data, kernel_grads(layer, x, h0)
         inputs = list({id(t): t for t in [*xs, h0]}.values())
-        cell = layer if forward in (gru_forward, oracle_gru_split) else PerGate(layer)
+        cell = layer if forward is oracle_gru_split else PerGate(layer)
         zero_grads(cell.parameters() + inputs)
         with Tape() as tape:
             states = forward(cell, xs, h0)
@@ -622,26 +756,29 @@ class TestGRUStepOracle:
         else:
             xs = [Tensor(rng.uniform(-2, 2, (4, 3)), requires_grad=True) for _ in range(4)]
         h0 = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+        x, steps = as_input(xs)
         upstream = rng.uniform(-1, 1, (4, 4, 5))
-        arrays = [t.data for t in [*xs, h0, *layer.parameters()]] + [upstream]
+        arrays = [t.data for t in [x, h0, *layer.parameters()]] + [upstream]
         before = [a.tobytes() for a in arrays]
         with Tape() as tape:
-            states = gru_forward(layer, xs, h0)
+            states = gru_forward(layer, Steps(x, steps), h0)
 
             def route(g, slot=states.slot):
                 slot.grad = upstream
 
             backward(tape, record_op("route", np.zeros(()), (states,), route))
-        assert h0.grad is not None and all(x.grad is not None for x in xs)
+        assert h0.grad is not None and x.grad is not None
         assert [a.tobytes() for a in arrays] == before
 
     def test_one_tape_record_per_layer(self):
         rng = np.random.default_rng(51)
         layer = GRULayer(2, 3, rng)
         x = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+        seq = Tensor(rng.uniform(-1, 1, (4, 5, 2)), requires_grad=True)
         with Tape() as tape:
-            gru_forward(layer, [x] * 5, Tensor(np.zeros((4, 3))))
-        assert tape.op_names() == ["gru_forward"]
+            gru_forward(layer, Steps(x, 5), Tensor(np.zeros((4, 3))))
+            gru_forward(layer, Steps(seq), Tensor(np.zeros((4, 3))), True)
+        assert tape.op_names() == ["gru_forward", "gru_forward"]
 
 
 class TestGRUFinalState:
@@ -651,20 +788,22 @@ class TestGRUFinalState:
 
     @staticmethod
     def last_state(final, taped, layer, xs, h0, proj):
-        """The last state's bytes and, under a tape, the gradients of W, U, b
-        and the distinct inputs, None where an input takes none."""
-        inputs = list({id(t): t for t in [*xs, h0]}.values())
-        zero_grads(layer.parameters() + inputs)
+        """The last state's bytes and, under a tape, the gradients of W, U, b,
+        the input step by step and h0, None where an input takes none."""
+        x, steps = as_input(xs)
+        zero_grads(layer.parameters() + [x, h0])
 
         def forward():
-            return gru_forward(layer, xs, h0, True) if final else unstack_steps(gru_forward(layer, xs, h0))[-1]
+            if final:
+                return gru_forward(layer, Steps(x, steps), h0, True)
+            return unstack_steps(gru_forward(layer, Steps(x, steps), h0))[-1]
 
         if not taped:
             return [forward().data]
         with Tape() as tape:
             out = forward()
             backward(tape, project(out, proj))
-        return [out.data] + [t.grad for t in layer.parameters() + inputs]
+        return [out.data] + kernel_grads(layer, x, h0)
 
     def assert_bytes_equal(self, taped, layer, xs, h0, proj):
         got = self.last_state(True, taped, layer, xs, h0, proj)
@@ -688,6 +827,74 @@ class TestGRUFinalState:
         xs = [Tensor(rng.uniform(-1, 1, (100, 4)), requires_grad=True) for _ in range(50)]
         h0 = Tensor(rng.uniform(-1, 1, (100, 50)), requires_grad=True)
         self.assert_bytes_equal(taped, layer, xs, h0, rng.uniform(-1, 1, (100, 50)))
+
+
+class TestListKernelOracle:
+    """``gru_forward`` on one input against ``oracle_gru_list``, the list-taking
+    kernel it replaced, byte for byte at the bench's shapes: the states or the
+    final state and the gradients of W, U, b, h0 and the input, the input's
+    compared step by step. A sequence [B, T, input] is the list of its steps;
+    rae's [B, input] context read at every step is that one tensor listed T
+    times, whose gradient sums the steps'."""
+
+    @staticmethod
+    def run(kernel, taped, layer, xs, h0, proj, final):
+        """The output's bytes and, under a tape, every gradient."""
+        if kernel:
+            x, steps = as_input(xs)
+            inputs = [x]
+        else:
+            inputs = list({id(t): t for t in xs}.values())
+        zero_grads(layer.parameters() + inputs + [h0])
+
+        def forward():
+            if kernel:
+                return gru_forward(layer, Steps(x, steps), h0, final)
+            return oracle_gru_list(layer, xs, h0, final)
+
+        if not taped:
+            return [forward().data]
+        with Tape() as tape:
+            out = forward()
+            backward(tape, project(out, proj))
+        if kernel:
+            return [out.data] + kernel_grads(layer, x, h0)
+        return [out.data] + [p.grad for p in layer.parameters()] + [t.grad for t in inputs] + [h0.grad]
+
+    # (batch, T, input, hidden, repeated, final): the encoders of tiny, desk
+    # and paper; the raes, raesc and rae decoders of each
+    SHAPES = {
+        "tiny-encoder": (100, 50, 4, 50, False, True),
+        "tiny-raes": (100, 50, 1, 50, False, False),
+        "tiny-raesc": (100, 50, 24, 50, False, False),
+        "tiny-rae": (100, 50, 50, 50, True, False),
+        "desk-encoder": (100, 50, 4, 200, False, True),
+        "desk-raes": (100, 50, 4, 200, False, False),
+        "desk-raesc": (100, 50, 99, 200, False, False),
+        "desk-rae": (100, 50, 200, 200, True, False),
+        "paper-encoder": (100, 200, 1, 200, False, True),
+        "paper-raesc": (100, 200, 99, 200, False, False),
+        "paper-rae": (100, 200, 200, 200, True, False),
+    }
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bytes_equal_the_list_kernel(self, shape, taped):
+        batch, length, n_in, hidden, repeated, final = self.SHAPES[shape]
+        rng = np.random.default_rng(55)
+        layer = GRULayer(n_in, hidden, rng)
+        if repeated:
+            xs = [Tensor(rng.uniform(-1, 1, (batch, n_in)), requires_grad=True)] * length
+        else:
+            xs = [Tensor(rng.uniform(-1, 1, (batch, n_in)), requires_grad=True) for _ in range(length)]
+        h0 = Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=True)
+        proj = rng.uniform(-1, 1, (batch, hidden) if final else (batch, length, hidden))
+        got = self.run(True, taped, layer, xs, h0, proj, final)
+        want = self.run(False, taped, layer, xs, h0, proj, final)
+        assert len(got) == len(want) == (1 if not taped else 5 + (1 if repeated else length))
+        for a, b in zip(got, want):
+            assert a is not None and b is not None
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestConv1D:
@@ -1015,11 +1222,11 @@ class TestLayerGradients:
     def test_gru_hidden_size_one(self):
         rng = np.random.default_rng(30)
         layer = GRULayer(2, 1, rng)
-        xs = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(3)]
+        seq = Tensor(rng.uniform(-1, 1, (1, 3, 2)))
         proj = rng.uniform(-1, 1, (1, 3, 1))
 
         def build():
-            return project(gru_forward(layer, xs, Tensor(np.zeros((1, 1)))), proj)
+            return project(gru_forward(layer, Steps(seq), Tensor(np.zeros((1, 1)))), proj)
 
         assert check_gradients(build, layer.parameters()) < 1e-4
 
@@ -1029,14 +1236,14 @@ class TestLayerGradients:
         rng = np.random.default_rng(33)
         layer = GRULayer(n_in, hidden, rng)
         layer.b.data[:] = rng.uniform(-0.5, 0.5, 3 * hidden)
-        xs = [Tensor(rng.uniform(-1, 1, (2, n_in)), requires_grad=True) for _ in range(3)]
+        seq = Tensor(rng.uniform(-1, 1, (2, 3, n_in)), requires_grad=True)
         h0 = Tensor(rng.uniform(-1, 1, (2, hidden)), requires_grad=True)
         proj = rng.uniform(-1, 1, (2, 3, hidden))
 
         def build():
-            return project(gru_forward(layer, xs, h0), proj)
+            return project(gru_forward(layer, Steps(seq), h0), proj)
 
-        assert check_gradients(build, layer.parameters() + xs + [h0]) < 1e-4
+        assert check_gradients(build, layer.parameters() + [seq, h0]) < 1e-4
 
     def test_conv_length_equals_kernel(self):
         rng = np.random.default_rng(31)

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twins import project, sum_all
+from twins import project, sum_all, unstack_steps
 
 from raeslab.gradcheck import check_gradients
-from raeslab.layers import Conv1DLayer, GRULayer, MaxPool1D, conv1d_forward, gru_forward, maxpool1d_forward
+from raeslab.layers import Conv1DLayer, GRULayer, MaxPool1D, Steps, conv1d_forward, gru_forward, maxpool1d_forward
 from raeslab.models import (
     RAE,
     RAES,
@@ -28,7 +28,7 @@ from raeslab.models import (
     transform_context,
 )
 from raeslab.optim import mse_loss
-from raeslab.tensor import ShapeError, Tape, Tensor, backward, unstack_steps, zero_grads
+from raeslab.tensor import ShapeError, Tape, Tensor, backward, zero_grads
 
 # the benchmark grid: features x sigma at sequence length 200
 GRID_FEATURES = (1, 2, 4, 8)
@@ -248,10 +248,14 @@ class TestForwards:
         x = Tensor(np.random.default_rng(5).uniform(-1, 1, (1, spec.seq_len, 1)))
         context = encode_context(model, x)
         steps = decoder_input_steps(model, context)
-        assert len(steps) == spec.seq_len
-        for i, s in enumerate(steps):
-            assert s.data[0].shape == (1,)
-            assert s.data[0][0] == context.data[0][i]
+        assert steps.shape == (1, spec.seq_len, 1)
+        assert np.array_equal(steps.data[0, :, 0], context.data[0])
+
+    def test_rae_decoder_input_is_the_context_itself(self):
+        # one step the decoder reads at each of seq_len steps
+        model, spec = build_model(RAE, sigma=1.25)
+        context = encode_context(model, Tensor(np.random.default_rng(5).uniform(-1, 1, (2, spec.seq_len, 1))))
+        assert decoder_input_steps(model, context) is context
 
     def test_raesc_decoder_input_shape_example(self):
         # context 50, kernel 3, pool 2/2 -> conv length 48, pooled 24, one step per filter
@@ -261,8 +265,7 @@ class TestForwards:
         model = AutoencoderModel.build(variant, spec, np.random.default_rng(0))
         context = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, 50)))
         steps = decoder_input_steps(model, context)
-        assert len(steps) == 200
-        assert all(s.data[0].shape == (24,) for s in steps)
+        assert steps.shape == (1, 200, 24)
 
     def test_raesc_works_where_raes_cannot(self):
         spec = ContextSpec.autoencoding(seq_len=200, n_features=1, sigma=0.25)
@@ -299,21 +302,23 @@ class TestTapeRecords:
     def test_ops_per_variant(self):
         head = ["gru_forward", "linear", "mse"]
         assert self.op_names(RAE, 8, 1.0) == ["gru_forward"] + head
-        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "reshape", "unstack"] + head
-        raesc = ["gru_forward", "reshape", "conv1d", "maxpool1d", "swap_last_axes", "unstack"] + head
+        assert self.op_names(RAES, 8, 1.0) == ["gru_forward", "reshape"] + head
+        raesc = ["gru_forward", "reshape", "conv1d", "maxpool1d", "swap_last_axes"] + head
         assert self.op_names(RAESC, 8, 1.0, kernel_size=2, pool_size=2) == raesc
-        stretch = ["gru_forward", "matmul", "reshape", "unstack"] + head
+        stretch = ["gru_forward", "matmul", "reshape"] + head
         assert self.op_names(RAES_STRETCH, 8, 0.5) == stretch
 
-    def test_rae_record_count_independent_of_length(self):
-        # every variant, rae's count first; the others unstack their decoder input in one record
+    # T 8 and 16 here; 50 and 200 are the bench's lengths
+    @pytest.mark.parametrize("seq_len", [8, 16, 50, 200])
+    def test_record_count_independent_of_length(self, seq_len):
+        # every variant, rae's count first; the others add their context transform's records
         for kind, sigma, kw, count in [
             (RAE, 1.0, {}, 4),
-            (RAES, 1.0, {}, 6),
-            (RAESC, 1.0, {"kernel_size": 2, "pool_size": 2}, 9),
-            (RAES_STRETCH, 0.5, {}, 7),
+            (RAES, 1.0, {}, 5),
+            (RAESC, 1.0, {"kernel_size": 2, "pool_size": 2}, 8),
+            (RAES_STRETCH, 0.5, {}, 6),
         ]:
-            assert len(self.op_names(kind, 8, sigma, **kw)) == len(self.op_names(kind, 16, sigma, **kw)) == count
+            assert len(self.op_names(kind, seq_len, sigma, **kw)) == count
 
 
 class TestTapeFreeForward:
@@ -324,9 +329,11 @@ class TestTapeFreeForward:
     def states(model, x):
         """Encoder states, decoder states and the reconstruction of one batch."""
         batch = x.shape[0]
-        encoder = gru_forward(model.encoder, unstack_steps(x), Tensor(np.zeros((batch, model.encoder.hidden_size))))
+        encoder = gru_forward(model.encoder, Steps(x), Tensor(np.zeros((batch, model.encoder.hidden_size))))
         steps = decoder_input_steps(model, encode_context(model, x))
-        decoder = gru_forward(model.decoder, steps, Tensor(np.zeros((batch, model.decoder.hidden_size))))
+        decoder = gru_forward(
+            model.decoder, Steps(steps, model.context.seq_len), Tensor(np.zeros((batch, model.decoder.hidden_size)))
+        )
         return [encoder.data, decoder.data, model.forward(x).data]
 
     # the benchmark's cells as (seq_len, features, sigma, batch): tiny-f4-T50
@@ -390,10 +397,11 @@ class TestBackwardMemory:
         assert peak - forward_end <= 1.5 * state_bytes
 
     def test_raesc_forward_keeps_only_the_decoder_steps_and_argmax(self):
-        # Above rae's forward, raesc keeps the decoder's T per-step input
-        # copies ([B, pooled] each) and the max-pool argmax (one byte per
-        # pooled value): 1.03x those bytes here. Keeping the conv, pool and
-        # swap outputs as well reads 4.58x.
+        # Above rae's forward, raesc keeps the decoder's [B, T, pooled] input,
+        # which the decoder's weight gradient reads, and the max-pool argmax
+        # (one byte per pooled value): 1.00x those bytes here, 1.03x when the
+        # input was kept as T step tensors. Keeping the conv, pool and swap
+        # outputs as well read 4.58x.
         batch, seq_len = 32, 100
         x = Tensor(np.random.default_rng(13).uniform(-1, 1, (batch, seq_len, 1)))
         forward_end = {}
@@ -417,15 +425,16 @@ class TestBackwardMemory:
         batch, length, hidden = 32, 100, 100
         layer = GRULayer(1, hidden, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        steps = unstack_steps(Tensor(rng.uniform(-1, 1, (batch, length, 1))))
+        seq = Tensor(rng.uniform(-1, 1, (batch, length, 1)))
         h0 = Tensor(np.zeros((batch, hidden)))
         proj = rng.uniform(-1, 1, (batch, hidden))
         above = {}
         for final in (True, False):
 
             def loss():
-                last = gru_forward(layer, steps, h0, True) if final else unstack_steps(gru_forward(layer, steps, h0))[-1]
-                return project(last, proj)
+                if final:
+                    return project(gru_forward(layer, Steps(seq), h0, True), proj)
+                return project(unstack_steps(gru_forward(layer, Steps(seq), h0))[-1], proj)
 
             zero_grads(layer.parameters())
             forward_end, _, peak = self.traced_backward(loss)
@@ -442,10 +451,32 @@ class TestBackwardMemory:
         batch, length, hidden = 16, 100, 40
         layer = GRULayer(hidden, hidden, np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        xs = [Tensor(rng.uniform(-1, 1, (batch, hidden)), requires_grad=True) for _ in range(length)]
+        seq = Tensor(rng.uniform(-1, 1, (batch, length, hidden)), requires_grad=True)
         h0 = Tensor(np.zeros((batch, hidden)))
-        forward_end, _, peak = self.traced_backward(lambda: sum_all(gru_forward(layer, xs, h0)))
+        forward_end, _, peak = self.traced_backward(lambda: sum_all(gru_forward(layer, Steps(seq), h0)))
         assert peak - forward_end <= 1.5 * batch * length * hidden * 8
+
+    def test_input_gradient_does_not_raise_the_backward_peak(self):
+        # raesc's decoder input at paper scale: 99 pooled features a step.
+        # The GRU forms the input's gradient a step at a time as it frees the
+        # steps' gate blocks and adds it into the [B, T, input] gradient at
+        # the end, so the backward peaks 496 bytes above an input that takes
+        # no gradient here. Allocating that gradient whole at the start of the
+        # GRU backward raises the peak by the whole array, 2.5 MB here.
+        batch, length, n_in, hidden = 32, 100, 99, 100
+        layer = GRULayer(n_in, hidden, np.random.default_rng(0))
+        rng = np.random.default_rng(2)
+        data = rng.uniform(-1, 1, (batch, length, n_in))
+        h0 = Tensor(np.zeros((batch, hidden)))
+        proj = rng.uniform(-1, 1, (batch, length, hidden))
+        above = {}
+        for requires_grad in (False, True):
+            seq = Tensor(data, requires_grad=requires_grad)
+            zero_grads(layer.parameters())
+            forward_end, _, peak = self.traced_backward(lambda: project(gru_forward(layer, Steps(seq), h0), proj))
+            above[requires_grad] = peak - forward_end
+            assert (seq.grad is not None) == requires_grad
+        assert above[True] - above[False] <= 0.1 * batch * length * n_in * 8
 
 
 def _gru():
@@ -462,8 +493,15 @@ class TestBatchLayout:
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda: gru_forward(_gru(), [Tensor(np.zeros((1, 2)))], Tensor(np.zeros(3))), id="gru-state"),
-            pytest.param(lambda: gru_forward(_gru(), [Tensor(np.zeros(2))], Tensor(np.zeros((1, 3)))), id="gru-step"),
+            pytest.param(
+                lambda: gru_forward(_gru(), Steps(Tensor(np.zeros((1, 4, 2)))), Tensor(np.zeros(3))), id="gru-state"
+            ),
+            pytest.param(
+                lambda: gru_forward(_gru(), Steps(Tensor(np.zeros((4, 2)))), Tensor(np.zeros((1, 3)))), id="gru-sequence"
+            ),
+            pytest.param(
+                lambda: gru_forward(_gru(), Steps(Tensor(np.zeros(2)), 4), Tensor(np.zeros((1, 3)))), id="gru-step"
+            ),
             pytest.param(
                 lambda: conv1d_forward(Conv1DLayer(1, 2, 2, np.random.default_rng(0)), Tensor(np.zeros((5, 1)))),
                 id="conv1d",

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from twins import add, mean_all, mul, project, sigmoid, sub, sum_all, tanh_op
+from twins import add, mean_all, mul, project, sigmoid, sub, sum_all, tanh_op, unstack_steps
 
 from raeslab.gradcheck import check_gradients
 from raeslab.layers import MaxPool1D, maxpool1d_forward
@@ -25,7 +25,6 @@ from raeslab.tensor import (
     record_op,
     reshape,
     swap_last_axes,
-    unstack_steps,
     zero_grads,
 )
 
@@ -109,8 +108,9 @@ def oracle_unstack(t):
 
 
 class TestUnstackMatchesTakeStepOracle:
-    """``unstack_steps``' one record leaves the gradients of T ``oracle_take_step``
-    records, byte for byte, however many of its steps the loss reads."""
+    """The ``unstack_steps`` twin's one record leaves the gradients of T
+    ``oracle_take_step`` records, byte for byte, however many of its steps the
+    loss reads."""
 
     @staticmethod
     def grads(split, shape, uses, other_consumer):
@@ -503,11 +503,6 @@ class TestOperandShapeErrors:
                 lambda: swap_last_axes(Tensor(np.zeros(3))),
                 r"^swap_last_axes needs at least 2 axes, got shape \(3,\)$",
                 id="swap_last_axes-1d",
-            ),
-            pytest.param(
-                lambda: unstack_steps(Tensor(np.zeros(3))),
-                r"^unstack_steps needs at least 2 axes, got shape \(3,\)$",
-                id="unstack_steps-1d",
             ),
         ],
     )
